@@ -34,10 +34,6 @@ main()
     sim::SimOptions opts;
     opts.hierarchy = sim::HierarchyConfig::forCores(4);
     opts.warmup_fraction = 0.1;
-    // Batched-advice probe: replay windows of the live access stream
-    // through BatchAdviceProvider policies (Glider's predictMany SIMD
-    // path) while the mix runs. Observation only; 0 disables.
-    opts.advice_batch = env::u64(env::Knob::AdviceBatch);
 
     auto names = workloads::figure11Workloads();
     Rng rng(2026);
@@ -66,7 +62,6 @@ main()
     auto report = bench::makeReport("fig13_multicore");
     std::map<std::string, std::vector<double>> ws_by_policy;
     std::size_t completed = 0;
-    std::uint64_t advice_queries = 0, advice_friendly = 0;
     for (std::size_t m = 0; m < mixes; ++m) {
         std::vector<std::string> mix;
         std::vector<const traces::Trace *> traces;
@@ -88,8 +83,6 @@ main()
                     auto res = sim::runMultiCore(
                         traces, core::makePolicy(pol), per_core,
                         mix_opts);
-                    advice_queries += res.advice_queries;
-                    advice_friendly += res.advice_friendly;
                     double ws = 0.0;
                     for (int c = 0; c < 4; ++c)
                         ws += res.ipc_shared[c]
@@ -150,24 +143,6 @@ main()
         }
     }
     std::printf("\n");
-
-    report.config("advice_batch",
-                  obs::json::Value(
-                      static_cast<std::uint64_t>(opts.advice_batch)));
-    report.metric("advice.queries",
-                  static_cast<double>(advice_queries), "queries",
-                  obs::Direction::Info);
-    if (advice_queries > 0) {
-        std::printf("\nbatched advice probe: %llu queries, %.1f%% "
-                    "friendly\n",
-                    static_cast<unsigned long long>(advice_queries),
-                    100.0 * static_cast<double>(advice_friendly)
-                        / static_cast<double>(advice_queries));
-        report.metric("advice.friendly_fraction",
-                      static_cast<double>(advice_friendly)
-                          / static_cast<double>(advice_queries),
-                      "fraction", obs::Direction::Info);
-    }
 
     std::printf("\nShape check (paper): Glider's average weighted "
                 "speedup leads Hawkeye/MPPPB, with SHiP++ last among "

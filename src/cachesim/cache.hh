@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache_config.hh"
-#include "obs/metrics.hh"
 #include "replacement.hh"
 
 namespace glider {
@@ -77,9 +76,9 @@ class Cache
     void clearStats() { stats_ = CacheStats{}; }
 
     /**
-     * Snapshot stats (and, in GLIDER_METRICS builds, the occupancy-
-     * at-miss histogram) into @p registry under @p prefix. Safe to
-     * call repeatedly; counters are overwritten, not accumulated.
+     * Snapshot stats into @p registry under @p prefix. Safe to call
+     * repeatedly; counters are overwritten, not accumulated. Misses
+     * that filled a free way are misses - evictions - bypasses.
      */
     void exportMetrics(obs::Registry &registry,
                        const std::string &prefix) const;
@@ -96,8 +95,6 @@ class Cache
     unsigned cores_;
     std::vector<LineView> lines_; //!< sets x ways, row-major
     CacheStats stats_;
-    //! Valid lines in the set at each miss; no-op unless GLIDER_METRICS.
-    obs::HotHistogram occ_at_miss_;
 };
 
 } // namespace sim

@@ -2,6 +2,7 @@
 
 #include "basic_lru.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "traces/access.hh"
 
 namespace glider {
@@ -10,12 +11,7 @@ namespace sim {
 Hierarchy::Hierarchy(const HierarchyConfig &config, unsigned cores,
                      std::unique_ptr<ReplacementPolicy> llc_policy)
     : config_(config), cores_(cores),
-      llc_core_accesses_(cores, 0), llc_core_misses_(cores, 0),
-      access_latency_(0.0,
-                      config.l1.latency + config.l2.latency
-                          + config.llc.latency + config.dram_latency
-                          + 1.0,
-                      64)
+      llc_core_accesses_(cores, 0), llc_core_misses_(cores, 0)
 {
     GLIDER_ASSERT(cores >= 1);
     for (unsigned c = 0; c < cores; ++c) {
@@ -47,9 +43,6 @@ Hierarchy::access(std::uint8_t core, std::uint64_t pc,
         else
             ++llc_core_misses_[core];
     }
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-    access_latency_.record(static_cast<double>(latency(depth)));
-#endif
     return depth;
 }
 
@@ -86,14 +79,6 @@ Hierarchy::exportMetrics(obs::Registry &registry,
     }
     llc_->exportMetrics(registry, prefix + ".llc.shared");
     llc_->policy().exportMetrics(registry, prefix + ".llc.policy");
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-    if (access_latency_.count() > 0) {
-        obs::Histogram &h = registry.histogram(
-            prefix + ".access_latency_cycles", access_latency_.lo(),
-            access_latency_.hi(), access_latency_.buckets());
-        h.merge(access_latency_);
-    }
-#endif
 }
 
 void

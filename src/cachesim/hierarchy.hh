@@ -67,9 +67,12 @@ class Hierarchy
 
     /**
      * Snapshot every level's stats — l1.core<N>/l2.core<N>/llc
-     * subtrees, per-core LLC traffic, the LLC policy's telemetry, and
-     * (in GLIDER_METRICS builds) the access-latency histogram — into
-     * @p registry under @p prefix. Use a fresh registry per export.
+     * subtrees, per-core LLC traffic and the LLC policy's telemetry —
+     * into @p registry under @p prefix. Values are set, not
+     * accumulated, so re-exporting into one registry is idempotent.
+     * Per core, the access-depth (hence latency) distribution is
+     * l1.core<N>.hits, l2.core<N>.hits, llc.core<N>.accesses -
+     * llc.core<N>.misses (LLC hits) and llc.core<N>.misses (DRAM).
      */
     void exportMetrics(obs::Registry &registry,
                        const std::string &prefix) const;
@@ -82,8 +85,6 @@ class Hierarchy
     std::unique_ptr<Cache> llc_;
     std::vector<std::uint64_t> llc_core_accesses_;
     std::vector<std::uint64_t> llc_core_misses_;
-    //! Round-trip latency of each access; no-op unless GLIDER_METRICS.
-    obs::HotHistogram access_latency_;
 };
 
 } // namespace sim

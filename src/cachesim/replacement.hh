@@ -21,7 +21,7 @@ class Registry; // metrics.hh; kept out of the hot-path header
 
 namespace sim {
 
-class BatchAdviceProvider; // advice.hh; kept out of this header
+class BatchAdviceProvider; // named only by adviceProvider() below
 
 /** Static shape of the cache a policy is driving. */
 struct CacheGeometry
@@ -122,13 +122,7 @@ class ReplacementPolicy
         (void)prefix;
     }
 
-    /**
-     * Batched-advice capability probe: the provider whose
-     * serveAdviceBatch answers for this policy, or nullptr when the
-     * policy has no batched path. Wrapper policies (the checked
-     * build's invariant checker) forward to the wrapped policy so
-     * the capability stays visible through them.
-     */
+    // Vestigial: kept only because perfbench's TimedPolicy overrides it.
     virtual const BatchAdviceProvider *
     adviceProvider() const
     {

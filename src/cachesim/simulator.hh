@@ -63,12 +63,6 @@ struct MultiCoreResult
     std::string policy;
     std::vector<double> ipc_shared; //!< per-core shared-mode IPC
     CacheStats llc;
-    // Batched-advice probe tallies (zero unless
-    // SimOptions::advice_batch enabled it and the policy implements
-    // BatchAdviceProvider).
-    std::uint64_t advice_queries = 0;  //!< queries answered
-    std::uint64_t advice_batches = 0;  //!< batches served
-    std::uint64_t advice_friendly = 0; //!< non-Averse answers
 };
 
 /** Options shared by the drivers. */
@@ -84,15 +78,6 @@ struct SimOptions
      * The token must outlive the run; nullptr disables polling.
      */
     const CancelToken *cancel = nullptr;
-    /**
-     * Opt-in batched-advice probe (multi-core runs only): when > 0
-     * and the LLC policy implements sim::BatchAdviceProvider, every
-     * advice_batch-th access flushes the accumulated (pc, core)
-     * window through serveAdviceBatch against the policy's live
-     * state. Pure observation — replacement decisions and cache
-     * statistics are unchanged; tallies land in MultiCoreResult.
-     */
-    std::size_t advice_batch = 0;
 };
 
 /**

@@ -29,7 +29,6 @@ namespace env {
 /** Every GLIDER_* knob, alphabetical by variable name. */
 enum class Knob {
     Accesses,           //!< GLIDER_ACCESSES
-    AdviceBatch,        //!< GLIDER_ADVICE_BATCH
     BenchDir,           //!< GLIDER_BENCH_DIR
     BenchJson,          //!< GLIDER_BENCH_JSON
     CellDeadlineMs,     //!< GLIDER_CELL_DEADLINE_MS

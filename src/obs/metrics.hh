@@ -8,12 +8,6 @@
  * atomics), so harness workers can hammer a shared registry. Reads
  * taken while writers are active are approximate snapshots, which is
  * the usual contract for telemetry.
- *
- * Hot-path instrumentation uses the HotCounter/HotHistogram aliases:
- * with -DGLIDER_METRICS=ON they are the real metric types, in default
- * builds they are empty no-op structs that the optimizer deletes —
- * the same compile-time pattern as GLIDER_CHECKED, so the simulator's
- * per-access cost is untouched unless telemetry is asked for.
  */
 
 #ifndef GLIDER_OBS_METRICS_HH
@@ -258,30 +252,6 @@ class ScopedTimer
     bool done_ = false;
     double elapsed_ = 0.0;
 };
-
-#if defined(GLIDER_METRICS) && GLIDER_METRICS
-inline constexpr bool kMetricsEnabled = true;
-using HotCounter = Counter;
-using HotHistogram = Histogram;
-#else
-inline constexpr bool kMetricsEnabled = false;
-
-/** No-op stand-in for Counter on unmetered hot paths. */
-struct HotCounter
-{
-    void inc(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void set(std::uint64_t) {}
-};
-
-/** No-op stand-in for Histogram on unmetered hot paths. */
-struct HotHistogram
-{
-    HotHistogram(double, double, std::size_t) {}
-    void record(double) {}
-    std::uint64_t count() const { return 0; }
-};
-#endif
 
 } // namespace obs
 } // namespace glider

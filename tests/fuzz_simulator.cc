@@ -9,14 +9,11 @@
  * flow conservation, counter coherence, LRU reference model for the
  * LRU policy). Each trace additionally runs a "MIN" differential
  * (the replaying BeladyPolicy must reproduce the hit count of the
- * batch simulateBelady oracle on the extracted LLC stream) and an
- * "ADVICE" differential (the multi-core run with a randomly chosen
- * SimOptions::advice_batch must leave every cache statistic and
- * per-core IPC bit-identical to the unprobed run — the batched
- * advice path is observation-only), and a "STREAM" differential (the
- * trace round-tripped through the gtrace codec and replayed via
- * StreamingSource must decode record-exactly and leave every
- * simulation result bit-identical to the in-memory replay).
+ * batch simulateBelady oracle on the extracted LLC stream) and a
+ * "STREAM" differential (the trace round-tripped through the gtrace
+ * codec and replayed via StreamingSource must decode record-exactly
+ * and leave every simulation result bit-identical to the in-memory
+ * replay).
  *
  * On failure the trace prefix is shrunk while the failure reproduces,
  * then a one-line reproducer is printed:
@@ -153,7 +150,6 @@ policyLineup()
 {
     std::vector<std::string> names = core::policyNames();
     names.push_back("MIN");
-    names.push_back("ADVICE");
     names.push_back("STREAM");
     return names;
 }
@@ -240,70 +236,6 @@ runStreamCase(std::uint64_t seed, std::uint64_t case_index,
 }
 
 /**
- * "ADVICE" differential: replay the scenario through the multi-core
- * driver twice — once plain, once with a case-derived
- * SimOptions::advice_batch in [1, 64] — and demand bit-identical
- * hit/miss/eviction counts and per-core IPC. The probe is documented
- * as pure observation, so *any* divergence is a bug in the batched
- * advice path (or in the predictor's batch/scalar equivalence).
- */
-std::optional<std::string>
-runAdviceCase(std::uint64_t seed, std::uint64_t case_index,
-              const Scenario &s)
-{
-    // Split the flat trace into per-core streams the way the mix
-    // drivers feed runMultiCore (trace index = core).
-    std::vector<traces::Trace> streams(s.cores);
-    for (const auto &rec : s.trace)
-        streams[rec.core].push(rec.pc, rec.address, rec.is_write, 0);
-    std::vector<const traces::Trace *> mix;
-    std::uint64_t quota = 1;
-    for (const auto &t : streams) {
-        if (t.empty())
-            continue;
-        mix.push_back(&t);
-        if (t.size() > quota)
-            quota = t.size();
-    }
-    if (mix.empty())
-        return std::nullopt;
-
-    Rng rng(hashCombine(mix64(seed) ^ 0xAD51CEull, case_index));
-    auto batch = static_cast<std::size_t>(1 + rng.below(64));
-
-    sim::SimOptions plain;
-    plain.hierarchy = s.hier;
-    plain.warmup_fraction = 0.25;
-    sim::SimOptions probed = plain;
-    probed.advice_batch = batch;
-    auto base = sim::runMultiCore(mix, core::makePolicy("Glider"),
-                                  quota, plain);
-    auto with = sim::runMultiCore(mix, core::makePolicy("Glider"),
-                                  quota, probed);
-
-    verify::require(base.llc.hits == with.llc.hits
-                        && base.llc.misses == with.llc.misses
-                        && base.llc.accesses == with.llc.accesses
-                        && base.llc.evictions == with.llc.evictions,
-                    "ADVICE differential: enabling the batched advice "
-                    "probe changed LLC hit/miss/eviction counts");
-    verify::require(base.ipc_shared == with.ipc_shared,
-                    "ADVICE differential: enabling the batched advice "
-                    "probe changed per-core IPC");
-    verify::require(base.advice_queries == 0
-                        && base.advice_batches == 0,
-                    "ADVICE differential: unprobed run reported "
-                    "advice tallies");
-    verify::require(with.advice_queries == with.advice_batches * batch,
-                    "ADVICE differential: probe served a partial "
-                    "window");
-    verify::require(with.advice_friendly <= with.advice_queries,
-                    "ADVICE differential: friendly answers exceed "
-                    "queries");
-    return std::nullopt;
-}
-
-/**
  * Run one (scenario, policy) case under full checking.
  * @return failure description, or std::nullopt on success.
  */
@@ -313,9 +245,7 @@ runCase(std::uint64_t seed, std::uint64_t case_index,
 {
     Scenario s = makeScenario(seed, case_index, len_override);
     try {
-        if (policy == "ADVICE") {
-            return runAdviceCase(seed, case_index, s);
-        } else if (policy == "STREAM") {
+        if (policy == "STREAM") {
             return runStreamCase(seed, case_index, s);
         } else if (policy == "MIN") {
             // Differential: the replaying BeladyPolicy must reproduce

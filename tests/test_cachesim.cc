@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "cachesim/basic_lru.hh"
 #include "cachesim/cache.hh"
 #include "cachesim/core_model.hh"
 #include "cachesim/hierarchy.hh"
 #include "cachesim/simulator.hh"
+#include "common/rng.hh"
+#include "obs/metrics.hh"
+#include "traces/access.hh"
 
 namespace glider {
 namespace sim {
@@ -175,6 +180,80 @@ TEST(Hierarchy, PerCoreLlcMissCounters)
     h.access(1, 1, 0x300000, false);
     EXPECT_EQ(h.llcMissesFor(0), 1u);
     EXPECT_EQ(h.llcMissesFor(1), 2u);
+}
+
+/** True LRU that bypasses every access from an odd PC. */
+class BypassOddPcs : public BasicLruPolicy
+{
+  public:
+    std::uint32_t
+    victimWay(const ReplacementAccess &access, SetView lines)
+        noexcept override
+    {
+        if (access.pc & 1)
+            return lines.size();
+        return BasicLruPolicy::victimWay(access, lines);
+    }
+};
+
+TEST(Hierarchy, ExportGivesBackDepthsAndFreeWayFills)
+{
+    HierarchyConfig cfg;
+    cfg.l1 = tinyConfig(4 * 64, 2);
+    cfg.l2 = tinyConfig(8 * 64, 2);
+    cfg.llc = tinyConfig(32 * 64, 4);
+    Hierarchy h(cfg, 2, std::make_unique<BypassOddPcs>());
+
+    // depth[core][AccessDepth] as returned by access().
+    std::uint64_t depth[2][4] = {};
+    std::set<std::uint64_t> blocks;
+    Rng rng(7);
+    for (int i = 0; i < 4000; ++i) {
+        auto core = static_cast<std::uint8_t>(rng.below(2));
+        std::uint64_t addr = (core * 256 + rng.below(64)) * 64;
+        blocks.insert(traces::blockAddr(addr));
+        ++depth[core][static_cast<int>(
+            h.access(core, rng.below(8), addr, false))];
+    }
+
+    obs::Registry registry;
+    h.exportMetrics(registry, "h");
+    const std::string first = registry.toJson().dump();
+    auto value = [&](const std::string &name) {
+        EXPECT_TRUE(registry.has(name)) << name;
+        return registry.counter(name).value();
+    };
+
+    // Per core, the export gives back the access-depth distribution.
+    for (unsigned c = 0; c < 2; ++c) {
+        const std::string core = "core" + std::to_string(c);
+        const std::uint64_t llc_misses = value("h.llc." + core + ".misses");
+        EXPECT_EQ(value("h.l1." + core + ".hits"),
+                  depth[c][static_cast<int>(AccessDepth::L1)]);
+        EXPECT_EQ(value("h.l2." + core + ".hits"),
+                  depth[c][static_cast<int>(AccessDepth::L2)]);
+        EXPECT_EQ(value("h.llc." + core + ".accesses") - llc_misses,
+                  depth[c][static_cast<int>(AccessDepth::Llc)]);
+        EXPECT_EQ(llc_misses,
+                  depth[c][static_cast<int>(AccessDepth::Dram)]);
+    }
+
+    // On a fresh LLC, misses that filled a free way are the lines
+    // now resident.
+    std::uint64_t resident = 0;
+    for (std::uint64_t block : blocks)
+        resident += h.llc().probe(block) ? 1 : 0;
+    const std::uint64_t evictions = value("h.llc.shared.evictions");
+    const std::uint64_t bypasses = value("h.llc.shared.bypasses");
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(bypasses, 0u);
+    EXPECT_EQ(value("h.llc.shared.misses") - evictions - bypasses,
+              resident);
+
+    // Exports set values, so a second one into the same registry
+    // changes nothing.
+    h.exportMetrics(registry, "h");
+    EXPECT_EQ(registry.toJson().dump(), first);
 }
 
 TEST(CoreModel, PureL1HitsRunAtFullWidth)

@@ -45,6 +45,17 @@ struct GoldenRow
 };
 
 /**
+ * Print a row as its policy name. The default printer dumps the raw
+ * bytes, which include the address of `policy`, and that address
+ * changes from run to run, so the listed test names would too.
+ */
+void
+PrintTo(const GoldenRow &row, std::ostream *os)
+{
+    *os << row.policy;
+}
+
+/**
  * Small hierarchy (Table 1 shrunk 32x) so the 24K-access traces
  * produce real LLC pressure: 4KB/8 L1, 16KB/8 L2, 64KB/16 LLC.
  */

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "cachesim/cache.hh"
 #include "common/rng.hh"
@@ -409,7 +411,7 @@ TEST(Sdbp, RunsOnUniformRandomWithoutPathology)
  * learning policy must beat LRU, across several geometry shapes.
  */
 class LearningBeatsLru
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 

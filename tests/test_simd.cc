@@ -3,8 +3,7 @@
  * Differential tests for the vectorized batched prediction path: the
  * SIMD dot kernels against the scalar reference (exhaustive corners
  * plus fuzz), predictMany against per-access predict, the PCHR's
- * incrementally maintained slot counts against a from-scratch rescan,
- * and the simulator's batched-advice probe against an unprobed run.
+ * incrementally maintained slot counts against a from-scratch rescan.
  * Every backend the binary compiled in and the CPU supports is
  * exercised; the suite is the proof behind "bit-exact on all
  * backends".
@@ -15,15 +14,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "cachesim/simulator.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "core/glider_policy.hh"
 #include "core/glider_predictor.hh"
 #include "core/isvm.hh"
 #include "core/pc_history_register.hh"
-#include "core/policy_factory.hh"
-#include "workloads/registry.hh"
 
 namespace glider {
 namespace core {
@@ -308,58 +303,6 @@ TEST(PredictMany, DispatchedBackendMatchesScalar)
     for (std::size_t i = 0; i < 200; ++i) {
         EXPECT_EQ(fast[i].sum, ref[i].sum) << "request " << i;
         EXPECT_EQ(fast[i].level, ref[i].level) << "request " << i;
-    }
-}
-
-TEST(AdviceProbe, DoesNotPerturbSimulationResults)
-{
-    const auto &t0 = workloads::cachedTrace("mcf", 60'000);
-    const auto &t1 = workloads::cachedTrace("lbm", 60'000);
-    sim::SimOptions plain;
-    plain.hierarchy = sim::HierarchyConfig::forCores(2);
-    plain.warmup_fraction = 0.1;
-    sim::SimOptions probed = plain;
-    probed.advice_batch = 32;
-    auto base = sim::runMultiCore({&t0, &t1}, makePolicy("Glider"),
-                                  30'000, plain);
-    auto with = sim::runMultiCore({&t0, &t1}, makePolicy("Glider"),
-                                  30'000, probed);
-    // The probe is observation-only: every simulation statistic must
-    // be bit-identical with and without it.
-    EXPECT_EQ(base.llc.hits, with.llc.hits);
-    EXPECT_EQ(base.llc.misses, with.llc.misses);
-    EXPECT_EQ(base.ipc_shared, with.ipc_shared);
-    EXPECT_EQ(base.advice_queries, 0u);
-    EXPECT_EQ(base.advice_batches, 0u);
-    // ...and the probed run actually served batches.
-    EXPECT_GT(with.advice_batches, 0u);
-    EXPECT_EQ(with.advice_queries, with.advice_batches * 32);
-    EXPECT_LE(with.advice_friendly, with.advice_queries);
-}
-
-TEST(AdviceProbe, GliderServesBatchesAgainstLiveState)
-{
-    GliderPolicy policy;
-    policy.reset(sim::CacheGeometry{64, 16, 1});
-    // Feed accesses through the policy interface so the PCHR fills.
-    for (int i = 0; i < 64; ++i) {
-        sim::ReplacementAccess acc;
-        acc.pc = 0x400000 + static_cast<std::uint64_t>(i % 6) * 4;
-        acc.block_addr = static_cast<std::uint64_t>(i) * 64;
-        acc.set = 0;
-        policy.onInsert(acc, static_cast<std::uint32_t>(i % 16));
-    }
-    std::vector<sim::AdviceQuery> queries(100);
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        queries[i].pc = 0x400000 + (i % 6) * 4;
-    std::vector<sim::Advice> advice(queries.size());
-    const sim::BatchAdviceProvider &provider = policy;
-    provider.serveAdviceBatch(queries, advice);
-    const GliderPredictor &pred = policy.predictor();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(advice[i].score,
-                  pred.decisionSum(queries[i].pc, queries[i].core))
-            << "query " << i;
     }
 }
 

@@ -4,13 +4,14 @@
  * accesses/second through sim::Cache, before vs after the
  * zero-allocation miss path.
  *
- * "Before" is a faithful replica of the pre-SetView Cache::access,
- * which copied the set's ways into a freshly allocated
- * std::vector<LineView> on every miss before asking the policy for a
- * victim. "After" is the production sim::Cache, which hands the
- * policy a zero-copy SetView of its own tag array. Both drive the
- * identical policy implementations, so the ratio isolates the
- * allocation+copy overhead that the refactor removed.
+ * "Before" is a replica of the pre-SetView Cache::access, which
+ * copied the set's ways into a freshly allocated vector on every miss
+ * before asking the policy for a victim; it keeps the production
+ * packed tag row (one u64 per way) and copies that. "After" is the
+ * production sim::Cache, which hands the policy a zero-copy SetView
+ * of its own tag row. Both drive the identical policy
+ * implementations over the same tag layout, so the ratio isolates
+ * the allocation+copy overhead that the refactor removed.
  */
 
 #include <chrono>
@@ -44,7 +45,7 @@ class LegacyCache
         : config_(config), policy_(std::move(policy)),
           num_sets_(config.sets())
     {
-        lines_.assign(num_sets_ * config_.ways, sim::LineView{});
+        tags_.assign(num_sets_ * config_.ways, sim::kInvalidTag);
         sim::CacheGeometry geom;
         geom.sets = num_sets_;
         geom.ways = config_.ways;
@@ -57,7 +58,7 @@ class LegacyCache
            std::uint64_t block_addr, bool is_write)
     {
         std::uint64_t set = block_addr & (num_sets_ - 1);
-        sim::LineView *base = &lines_[set * config_.ways];
+        std::uint64_t *base = &tags_[set * config_.ways];
 
         sim::ReplacementAccess acc;
         acc.set = set;
@@ -67,22 +68,22 @@ class LegacyCache
         acc.is_write = is_write;
 
         for (std::uint32_t way = 0; way < config_.ways; ++way) {
-            if (base[way].valid && base[way].block_addr == block_addr) {
+            if (base[way] == block_addr) {
                 policy_->onHit(acc, way);
                 return true;
             }
         }
 
         // The old miss path: copy the set into a fresh vector.
-        std::vector<sim::LineView> view(base, base + config_.ways);
+        std::vector<std::uint64_t> view(base, base + config_.ways);
         std::uint32_t victim = policy_->victimWay(
             acc, sim::SetView{view.data(), config_.ways});
         if (victim >= config_.ways)
             return false;
-        if (base[victim].valid)
-            policy_->onEvict(acc, victim, base[victim]);
-        base[victim].valid = true;
-        base[victim].block_addr = block_addr;
+        if (base[victim] != sim::kInvalidTag)
+            policy_->onEvict(acc, victim,
+                             sim::LineView{true, base[victim]});
+        base[victim] = block_addr;
         policy_->onInsert(acc, victim);
         return false;
     }
@@ -91,7 +92,7 @@ class LegacyCache
     sim::CacheConfig config_;
     std::unique_ptr<sim::ReplacementPolicy> policy_;
     std::uint64_t num_sets_;
-    std::vector<sim::LineView> lines_;
+    std::vector<std::uint64_t> tags_;
 };
 
 /** One (pc, block) access stream. */

@@ -1,8 +1,9 @@
 /**
  * @file
- * Built-in true-LRU replacement, used for the private L1/L2 levels
- * (and as the paper's LLC baseline via policies::LruPolicy, which is
- * an alias of this mechanism).
+ * Built-in true-LRU replacement: the paper's LLC baseline (via
+ * policies::LruPolicy, an alias of this mechanism) and the reference
+ * model that sim::PrivateLru, the private levels' fixed LRU, is
+ * tested against.
  */
 
 #ifndef GLIDER_CACHESIM_BASIC_LRU_HH

@@ -19,7 +19,7 @@ Cache::Cache(const CacheConfig &config,
 void
 Cache::reset()
 {
-    lines_.assign(num_sets_ * config_.ways, LineView{});
+    tags_.assign(num_sets_ * config_.ways, kInvalidTag);
     stats_ = CacheStats{};
     CacheGeometry geom;
     geom.sets = num_sets_;
@@ -32,9 +32,10 @@ bool
 Cache::access(std::uint8_t core, std::uint64_t pc,
               std::uint64_t block_addr, bool is_write)
 {
+    GLIDER_ASSERT(block_addr != kInvalidTag);
     ++stats_.accesses;
     std::uint64_t set = setIndex(block_addr);
-    LineView *base = &lines_[set * config_.ways];
+    std::uint64_t *base = &tags_[set * config_.ways];
 
     ReplacementAccess acc;
     acc.set = set;
@@ -44,7 +45,7 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
     acc.is_write = is_write;
 
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (base[way].valid && base[way].block_addr == block_addr) {
+        if (base[way] == block_addr) {
             ++stats_.hits;
             policy_->onHit(acc, way);
             return true;
@@ -59,35 +60,35 @@ Cache::access(std::uint8_t core, std::uint64_t pc,
         ++stats_.bypasses;
         return false;
     }
-    if (base[victim].valid) {
+    if (base[victim] != kInvalidTag) {
         ++stats_.evictions;
-        policy_->onEvict(acc, victim, base[victim]);
+        policy_->onEvict(acc, victim, LineView{true, base[victim]});
     }
-    base[victim].valid = true;
-    base[victim].block_addr = block_addr;
+    base[victim] = block_addr;
     policy_->onInsert(acc, victim);
     return false;
 }
 
 void
-Cache::exportMetrics(obs::Registry &registry,
-                     const std::string &prefix) const
+CacheStats::exportMetrics(obs::Registry &registry,
+                          const std::string &prefix) const
 {
-    registry.setCounter(prefix + ".accesses", stats_.accesses);
-    registry.setCounter(prefix + ".hits", stats_.hits);
-    registry.setCounter(prefix + ".misses", stats_.misses);
-    registry.setCounter(prefix + ".bypasses", stats_.bypasses);
-    registry.setCounter(prefix + ".evictions", stats_.evictions);
-    registry.setGauge(prefix + ".miss_rate", stats_.missRate());
+    registry.setCounter(prefix + ".accesses", accesses);
+    registry.setCounter(prefix + ".hits", hits);
+    registry.setCounter(prefix + ".misses", misses);
+    registry.setCounter(prefix + ".bypasses", bypasses);
+    registry.setCounter(prefix + ".evictions", evictions);
+    registry.setGauge(prefix + ".miss_rate", missRate());
 }
 
 bool
 Cache::probe(std::uint64_t block_addr) const
 {
+    GLIDER_ASSERT(block_addr != kInvalidTag);
     std::uint64_t set = setIndex(block_addr);
-    const LineView *base = &lines_[set * config_.ways];
+    const std::uint64_t *base = &tags_[set * config_.ways];
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (base[way].valid && base[way].block_addr == block_addr)
+        if (base[way] == block_addr)
             return true;
     }
     return false;

@@ -2,7 +2,9 @@
  * @file
  * A set-associative cache with pluggable replacement.
  *
- * Tag state lives here; all replacement metadata lives in the policy.
+ * Tag state lives here, packed one block address per way
+ * (kInvalidTag when empty); all replacement metadata lives in the
+ * policy.
  * The model is access-atomic (lookup and fill happen in one step, no
  * MSHRs): for replacement-policy studies what matters is the access
  * and eviction stream each level observes, which this preserves.
@@ -38,6 +40,15 @@ struct CacheStats
             ? static_cast<double>(misses) / static_cast<double>(accesses)
             : 0.0;
     }
+
+    /**
+     * Snapshot the counters and miss rate into @p registry under
+     * @p prefix. Safe to call repeatedly; counters are overwritten,
+     * not accumulated. Misses that filled a free way are misses -
+     * evictions - bypasses.
+     */
+    void exportMetrics(obs::Registry &registry,
+                       const std::string &prefix) const;
 };
 
 /** One set-associative cache level. */
@@ -55,7 +66,7 @@ class Cache
     /**
      * Perform one access: on a hit the policy's onHit fires; on a
      * miss the policy chooses a victim (or bypasses) and the line is
-     * filled.
+     * filled. @p block_addr must not be kInvalidTag.
      * @return true on hit.
      */
     bool access(std::uint8_t core, std::uint64_t pc,
@@ -75,14 +86,6 @@ class Cache
     /** Zero the hit/miss counters without disturbing cache state. */
     void clearStats() { stats_ = CacheStats{}; }
 
-    /**
-     * Snapshot stats into @p registry under @p prefix. Safe to call
-     * repeatedly; counters are overwritten, not accumulated. Misses
-     * that filled a free way are misses - evictions - bypasses.
-     */
-    void exportMetrics(obs::Registry &registry,
-                       const std::string &prefix) const;
-
   private:
     std::uint64_t setIndex(std::uint64_t block_addr) const
     {
@@ -93,7 +96,7 @@ class Cache
     std::unique_ptr<ReplacementPolicy> policy_;
     std::uint64_t num_sets_;
     unsigned cores_;
-    std::vector<LineView> lines_; //!< sets x ways, row-major
+    std::vector<std::uint64_t> tags_; //!< sets x ways, row-major
     CacheStats stats_;
 };
 

@@ -117,7 +117,7 @@ class CoreModel
     clearCounters()
     {
         for (std::size_t i = 0; i < count_; ++i) {
-            Outstanding &op = ring_[(head_ + i) % ring_.size()];
+            Outstanding &op = ring_[wrap(head_ + i)];
             op.completion -= cycles_;
             if (op.completion < 0.0)
                 op.completion = 0.0;
@@ -143,6 +143,17 @@ class CoreModel
     // a chunk allocation/free every ~few hundred accesses on the per-
     // access path; the window is hard-bounded at mshrs entries, so
     // capacity is allocated once in the constructor.
+
+    /**
+     * Ring index of @p i < 2 * ring_.size(): a compare instead of a
+     * 64-bit divide, since the size is only known at run time.
+     */
+    std::size_t
+    wrap(std::size_t i) const noexcept
+    {
+        return i >= ring_.size() ? i - ring_.size() : i;
+    }
+
     const Outstanding &
     front() const noexcept
     {
@@ -152,20 +163,20 @@ class CoreModel
     const Outstanding &
     back() const noexcept
     {
-        return ring_[(head_ + count_ - 1) % ring_.size()];
+        return ring_[wrap(head_ + count_ - 1)];
     }
 
     void
     popFront() noexcept
     {
-        head_ = (head_ + 1) % ring_.size();
+        head_ = wrap(head_ + 1);
         --count_;
     }
 
     void
     pushBack(Outstanding op) noexcept
     {
-        ring_[(head_ + count_) % ring_.size()] = op;
+        ring_[wrap(head_ + count_)] = op;
         ++count_;
     }
 

@@ -1,49 +1,32 @@
 #include "hierarchy.hh"
 
-#include "basic_lru.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "traces/access.hh"
 
 namespace glider {
 namespace sim {
 
 Hierarchy::Hierarchy(const HierarchyConfig &config, unsigned cores,
                      std::unique_ptr<ReplacementPolicy> llc_policy)
-    : config_(config), cores_(cores),
+    : config_(config), cores_(cores), l1_(cores, PrivateLru(config.l1)),
+      l2_(cores, PrivateLru(config.l2)),
+      llc_(config.llc, std::move(llc_policy), cores),
       llc_core_accesses_(cores, 0), llc_core_misses_(cores, 0)
 {
     GLIDER_ASSERT(cores >= 1);
-    for (unsigned c = 0; c < cores; ++c) {
-        l1_.push_back(std::make_unique<Cache>(
-            config.l1, std::make_unique<BasicLruPolicy>()));
-        l2_.push_back(std::make_unique<Cache>(
-            config.l2, std::make_unique<BasicLruPolicy>()));
-    }
-    llc_ = std::make_unique<Cache>(config.llc, std::move(llc_policy),
-                                   cores);
 }
 
 AccessDepth
-Hierarchy::access(std::uint8_t core, std::uint64_t pc,
-                  std::uint64_t byte_addr, bool is_write)
+Hierarchy::accessBeyondL1(std::uint8_t core, std::uint64_t pc,
+                          std::uint64_t block, bool is_write)
 {
-    GLIDER_ASSERT(core < cores_);
-    std::uint64_t block = traces::blockAddr(byte_addr);
-
-    AccessDepth depth = AccessDepth::Dram;
-    if (l1_[core]->access(core, pc, block, is_write)) {
-        depth = AccessDepth::L1;
-    } else if (l2_[core]->access(core, pc, block, is_write)) {
-        depth = AccessDepth::L2;
-    } else {
-        ++llc_core_accesses_[core];
-        if (llc_->access(core, pc, block, is_write))
-            depth = AccessDepth::Llc;
-        else
-            ++llc_core_misses_[core];
-    }
-    return depth;
+    if (l2_[core].access(block))
+        return AccessDepth::L2;
+    ++llc_core_accesses_[core];
+    if (llc_.access(core, pc, block, is_write))
+        return AccessDepth::Llc;
+    ++llc_core_misses_[core];
+    return AccessDepth::Dram;
 }
 
 std::uint32_t
@@ -70,25 +53,25 @@ Hierarchy::exportMetrics(obs::Registry &registry,
 {
     for (unsigned c = 0; c < cores_; ++c) {
         std::string core = "core" + std::to_string(c);
-        l1_[c]->exportMetrics(registry, prefix + ".l1." + core);
-        l2_[c]->exportMetrics(registry, prefix + ".l2." + core);
+        l1_[c].stats().exportMetrics(registry, prefix + ".l1." + core);
+        l2_[c].stats().exportMetrics(registry, prefix + ".l2." + core);
         registry.setCounter(prefix + ".llc." + core + ".accesses",
                             llc_core_accesses_[c]);
         registry.setCounter(prefix + ".llc." + core + ".misses",
                             llc_core_misses_[c]);
     }
-    llc_->exportMetrics(registry, prefix + ".llc.shared");
-    llc_->policy().exportMetrics(registry, prefix + ".llc.policy");
+    llc_.stats().exportMetrics(registry, prefix + ".llc.shared");
+    llc_.policy().exportMetrics(registry, prefix + ".llc.policy");
 }
 
 void
 Hierarchy::clearStatsCounters()
 {
     for (auto &c : l1_)
-        c->clearStats();
+        c.clearStats();
     for (auto &c : l2_)
-        c->clearStats();
-    llc_->clearStats();
+        c.clearStats();
+    llc_.clearStats();
     llc_core_accesses_.assign(cores_, 0);
     llc_core_misses_.assign(cores_, 0);
 }

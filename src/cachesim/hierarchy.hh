@@ -1,7 +1,8 @@
 /**
  * @file
- * Three-level cache hierarchy: private L1D and L2 per core, shared
- * LLC running the replacement policy under study (Table 1 shapes).
+ * Three-level cache hierarchy: private L1D and L2 per core (fixed
+ * true LRU), shared LLC running the replacement policy under study
+ * (Table 1 shapes).
  */
 
 #ifndef GLIDER_CACHESIM_HIERARCHY_HH
@@ -13,6 +14,9 @@
 
 #include "cache.hh"
 #include "cache_config.hh"
+#include "common/logging.hh"
+#include "private_lru.hh"
+#include "traces/access.hh"
 
 namespace glider {
 namespace sim {
@@ -37,18 +41,27 @@ class Hierarchy
 
     /**
      * Walk one access down the hierarchy, filling on the way back.
+     * The L1 lookup is inline, since most accesses end there.
      * @return deepest level reached.
      */
-    AccessDepth access(std::uint8_t core, std::uint64_t pc,
-                       std::uint64_t byte_addr, bool is_write);
+    AccessDepth
+    access(std::uint8_t core, std::uint64_t pc, std::uint64_t byte_addr,
+           bool is_write)
+    {
+        GLIDER_ASSERT(core < cores_);
+        std::uint64_t block = traces::blockAddr(byte_addr);
+        if (l1_[core].access(block))
+            return AccessDepth::L1;
+        return accessBeyondL1(core, pc, block, is_write);
+    }
 
     /** Round-trip latency (core cycles) for a given depth. */
     std::uint32_t latency(AccessDepth depth) const;
 
-    Cache &l1(unsigned core) { return *l1_[core]; }
-    Cache &l2(unsigned core) { return *l2_[core]; }
-    Cache &llc() { return *llc_; }
-    const Cache &llc() const { return *llc_; }
+    const PrivateLru &l1(unsigned core) const { return l1_[core]; }
+    const PrivateLru &l2(unsigned core) const { return l2_[core]; }
+    Cache &llc() { return llc_; }
+    const Cache &llc() const { return llc_; }
     const HierarchyConfig &config() const { return config_; }
     unsigned cores() const { return cores_; }
 
@@ -78,11 +91,14 @@ class Hierarchy
                        const std::string &prefix) const;
 
   private:
+    AccessDepth accessBeyondL1(std::uint8_t core, std::uint64_t pc,
+                               std::uint64_t block, bool is_write);
+
     HierarchyConfig config_;
     unsigned cores_;
-    std::vector<std::unique_ptr<Cache>> l1_;
-    std::vector<std::unique_ptr<Cache>> l2_;
-    std::unique_ptr<Cache> llc_;
+    std::vector<PrivateLru> l1_; //!< per core
+    std::vector<PrivateLru> l2_; //!< per core
+    Cache llc_;
     std::vector<std::uint64_t> llc_core_accesses_;
     std::vector<std::uint64_t> llc_core_misses_;
 };

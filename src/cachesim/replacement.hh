@@ -39,23 +39,32 @@ struct LineView
 };
 
 /**
- * Non-owning view of one set's ways in the cache's tag array, passed
- * to victim selection. Cheap to copy (pointer + count): the cache
- * hands out its own storage, so the miss path never allocates. The
- * view is only valid for the duration of the victimWay call.
+ * Tag of an empty way in a packed tag row. Block addresses are byte
+ * addresses shifted right by the block bits, so no real block can
+ * carry it; sim::Cache rejects it as an access address.
+ */
+inline constexpr std::uint64_t kInvalidTag = ~0ull;
+
+/**
+ * Non-owning view of one set's ways in the cache's packed tag row
+ * (one block address per way, kInvalidTag when empty), passed to
+ * victim selection. Cheap to copy (pointer + count): the cache hands
+ * out its own storage, so the miss path never allocates. The view is
+ * only valid for the duration of the victimWay call.
  */
 struct SetView
 {
-    const LineView *lines = nullptr;
+    const std::uint64_t *tags = nullptr;
     std::uint32_t ways = 0;
 
-    const LineView &operator[](std::uint32_t way) const
+    /** The way as a LineView; an empty way reads {false, 0}. */
+    LineView operator[](std::uint32_t way) const
     {
-        return lines[way];
+        std::uint64_t tag = tags[way];
+        bool valid = tag != kInvalidTag;
+        return LineView{valid, valid ? tag : 0};
     }
     std::uint32_t size() const { return ways; }
-    const LineView *begin() const { return lines; }
-    const LineView *end() const { return lines + ways; }
 };
 
 /** One access as seen by the replacement policy. */

@@ -1,9 +1,6 @@
 #include "llc_stream.hh"
 
-#include <memory>
-
-#include "cachesim/basic_lru.hh"
-#include "cachesim/cache.hh"
+#include "cachesim/private_lru.hh"
 
 namespace glider {
 namespace opt {
@@ -12,18 +9,16 @@ traces::Trace
 extractLlcStream(const traces::Trace &cpu_trace,
                  const sim::HierarchyConfig &config)
 {
-    // glider-lint: allow(hotpath-alloc) offline stream extraction
-    // runs once per trace before simulation; not the access path.
-    sim::Cache l1(config.l1, std::make_unique<sim::BasicLruPolicy>());
-    // glider-lint: allow(hotpath-alloc) same setup pass as above.
-    sim::Cache l2(config.l2, std::make_unique<sim::BasicLruPolicy>());
+    // The same private levels sim::Hierarchy walks, so for a
+    // single-core trace this stream is exactly what reaches the live
+    // hierarchy's LLC.
+    sim::PrivateLru l1(config.l1);
+    sim::PrivateLru l2(config.l2);
 
     traces::Trace out(cpu_trace.name() + ".llc");
     for (const auto &rec : cpu_trace) {
         std::uint64_t block = traces::blockAddr(rec.address);
-        if (l1.access(rec.core, rec.pc, block, rec.is_write))
-            continue;
-        if (l2.access(rec.core, rec.pc, block, rec.is_write))
+        if (l1.access(block) || l2.access(block))
             continue;
         out.push(rec);
     }

@@ -21,10 +21,9 @@ CheckedHierarchy::CheckedHierarchy(
 }
 
 void
-CheckedHierarchy::checkCacheCounters(const sim::Cache &cache,
+CheckedHierarchy::checkCacheCounters(const sim::CacheStats &s,
                                      const char *level)
 {
-    const sim::CacheStats &s = cache.stats();
     std::string at = std::string(" at ") + level;
     require(s.hits + s.misses == s.accesses,
             "counter coherence: hits + misses != accesses" + at);
@@ -74,10 +73,10 @@ CheckedHierarchy::check() const
 
     // Per-level counter coherence.
     for (unsigned c = 0; c < cores_; ++c) {
-        checkCacheCounters(hier_->l1(c), "L1");
-        checkCacheCounters(hier_->l2(c), "L2");
+        checkCacheCounters(hier_->l1(c).stats(), "L1");
+        checkCacheCounters(hier_->l2(c).stats(), "L2");
     }
-    checkCacheCounters(hier_->llc(), "LLC");
+    checkCacheCounters(llc, "LLC");
 
     // Access-flow conservation: every miss at one level is exactly
     // one access at the next (the model is access-atomic).

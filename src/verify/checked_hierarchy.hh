@@ -60,7 +60,7 @@ class CheckedHierarchy
     const CheckedPolicy &llcChecker() const { return *checker_; }
 
   private:
-    static void checkCacheCounters(const sim::Cache &cache,
+    static void checkCacheCounters(const sim::CacheStats &s,
                                    const char *level);
 
     std::unique_ptr<sim::Hierarchy> hier_;

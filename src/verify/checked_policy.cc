@@ -82,7 +82,7 @@ CheckedPolicy::victimWay(const sim::ReplacementAccess &access,
                      "previous miss sequence still open (onInsert "
                      "never arrived)"));
     checkSetIndex(access, "victimWay");
-    require(lines.lines != nullptr && lines.ways == ways(),
+    require(lines.tags != nullptr && lines.ways == ways(),
             describe("victimWay", access,
                      "SetView shape does not match the geometry"));
 

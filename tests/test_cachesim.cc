@@ -9,11 +9,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cachesim/basic_lru.hh"
 #include "cachesim/cache.hh"
 #include "cachesim/core_model.hh"
 #include "cachesim/hierarchy.hh"
+#include "cachesim/private_lru.hh"
 #include "cachesim/simulator.hh"
 #include "common/rng.hh"
 #include "obs/metrics.hh"
@@ -137,6 +139,118 @@ TEST(Cache, ResetClearsContents)
     cache.access(0, 1, 0, false);
     cache.reset();
     EXPECT_FALSE(cache.probe(0));
+}
+
+/** True LRU that records the set view and victim it was last given. */
+class RecordingLru : public BasicLruPolicy
+{
+  public:
+    std::uint32_t
+    victimWay(const ReplacementAccess &access, SetView lines)
+        noexcept override
+    {
+        seen.clear();
+        for (std::uint32_t w = 0; w < lines.size(); ++w)
+            seen.push_back(lines[w]);
+        return BasicLruPolicy::victimWay(access, lines);
+    }
+
+    void
+    onEvict(const ReplacementAccess &, std::uint32_t,
+            const LineView &victim) noexcept override
+    {
+        evicted = victim;
+    }
+
+    std::vector<LineView> seen;
+    LineView evicted;
+};
+
+void
+expectLines(const std::vector<LineView> &got,
+            const std::vector<LineView> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(got[w].valid, want[w].valid) << "way " << w;
+        EXPECT_EQ(got[w].block_addr, want[w].block_addr) << "way " << w;
+    }
+}
+
+TEST(SetView, PackedRowReadsAsLineViews)
+{
+    // An empty way reads as a default LineView, {false, 0}; block 0
+    // is an ordinary valid tag.
+    const std::uint64_t row[4] = {5, kInvalidTag, 0, 77};
+    SetView view{row, 4};
+    std::vector<LineView> got;
+    for (std::uint32_t w = 0; w < view.size(); ++w)
+        got.push_back(view[w]);
+    expectLines(got, {{true, 5}, {false, 0}, {true, 0}, {true, 77}});
+
+    // The view a cache hands its policy, and the evicted line.
+    Cache cache(tinyConfig(2 * 64, 2), std::make_unique<RecordingLru>());
+    auto &policy = static_cast<RecordingLru &>(cache.policy());
+    cache.access(0, 1, 0, false);
+    expectLines(policy.seen, {{false, 0}, {false, 0}});
+    cache.access(0, 1, 9, false);
+    expectLines(policy.seen, {{true, 0}, {false, 0}});
+    cache.access(0, 1, 4, false); // evicts block 0
+    expectLines(policy.seen, {{true, 0}, {true, 9}});
+    EXPECT_TRUE(policy.evicted.valid);
+    EXPECT_EQ(policy.evicted.block_addr, 0u);
+}
+
+TEST(CacheDeathTest, RejectsTheInvalidTagAsBlockAddress)
+{
+    // Hierarchy blocks are byte addresses >> 6 and never reach it;
+    // accepting it would hit on an empty way.
+    Cache cache(tinyConfig(), std::make_unique<BasicLruPolicy>());
+    EXPECT_DEATH(cache.access(0, 1, kInvalidTag, false),
+                 "block_addr != kInvalidTag");
+    EXPECT_DEATH(cache.probe(kInvalidTag), "block_addr != kInvalidTag");
+    PrivateLru level(tinyConfig());
+    EXPECT_DEATH(level.access(kInvalidTag), "block_addr != kInvalidTag");
+}
+
+TEST(PrivateLru, MatchesCacheWithBasicLru)
+{
+    HierarchyConfig table1;
+    std::vector<CacheConfig> shapes;
+    for (std::uint32_t ways : {1u, 2u, 8u, 16u})
+        shapes.push_back(tinyConfig(ways * 64, ways)); // one set
+    shapes.push_back(table1.l1);
+    shapes.push_back(table1.l2);
+
+    for (const CacheConfig &shape : shapes) {
+        SCOPED_TRACE(std::to_string(shape.sets()) + " sets x "
+                     + std::to_string(shape.ways) + " ways");
+        const std::uint64_t lines = shape.sets() * shape.ways;
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            PrivateLru fixed(shape);
+            Cache reference(shape, std::make_unique<BasicLruPolicy>());
+            Rng rng(seed);
+            // Half the accesses reuse a footprint that fits, half
+            // stream over four times the capacity.
+            for (int i = 0; i < 20000; ++i) {
+                std::uint64_t block = rng.chance(0.5)
+                    ? rng.below(lines / 2 + 1)
+                    : rng.below(4 * lines);
+                ASSERT_EQ(fixed.access(block),
+                          reference.access(0, 1, block, false))
+                    << "access " << i << ", block " << block;
+            }
+            const CacheStats &a = fixed.stats();
+            const CacheStats &b = reference.stats();
+            EXPECT_EQ(a.accesses, b.accesses);
+            EXPECT_EQ(a.hits, b.hits);
+            EXPECT_EQ(a.misses, b.misses);
+            EXPECT_EQ(a.evictions, b.evictions);
+            EXPECT_EQ(a.bypasses, 0u);
+            EXPECT_GT(a.hits, 0u);
+            EXPECT_GT(a.evictions, 0u);
+        }
+    }
 }
 
 TEST(Hierarchy, DepthProgression)

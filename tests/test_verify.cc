@@ -127,14 +127,14 @@ class CheckedPolicyProtocol : public ::testing::Test
         checker_ = std::make_unique<CheckedPolicy>(
             std::make_unique<policies::LruPolicy>());
         checker_->reset(sim::CacheGeometry{8, 4, 1});
-        lines_.assign(4, sim::LineView{});
+        tags_.assign(4, sim::kInvalidTag);
     }
 
     sim::SetView
     view() const
     {
-        return sim::SetView{lines_.data(),
-                            static_cast<std::uint32_t>(lines_.size())};
+        return sim::SetView{tags_.data(),
+                            static_cast<std::uint32_t>(tags_.size())};
     }
 
     static sim::ReplacementAccess
@@ -148,7 +148,7 @@ class CheckedPolicyProtocol : public ::testing::Test
     }
 
     std::unique_ptr<CheckedPolicy> checker_;
-    std::vector<sim::LineView> lines_;
+    std::vector<std::uint64_t> tags_;
 };
 
 TEST_F(CheckedPolicyProtocol, SecondVictimWayWithoutInsertThrows)
@@ -186,7 +186,7 @@ TEST_F(CheckedPolicyProtocol, TagArrayMismatchThrows)
     // in set 1, then present a tag array that disagrees.
     auto way = checker_->victimWay(access(1, 100), view());
     checker_->onInsert(access(1, 100), way);
-    lines_[way] = sim::LineView{true, 999}; // cache claims 999
+    tags_[way] = 999; // cache claims 999
     EXPECT_THROW(checker_->victimWay(access(1, 200), view()),
                  InvariantViolation);
 }
@@ -198,7 +198,7 @@ TEST_F(CheckedPolicyProtocol, WellFormedMissSequencePasses)
         auto way = checker_->victimWay(access(2, b), view());
         ASSERT_LT(way, 4u);
         EXPECT_NO_THROW(checker_->onInsert(access(2, b), way));
-        lines_[way] = sim::LineView{true, b};
+        tags_[way] = b;
         if (b == 2)
             way_of_two = way;
     }

@@ -34,13 +34,19 @@ class BasicLruPolicy : public ReplacementPolicy
     victimWay(const ReplacementAccess &access, SetView lines)
         noexcept override
     {
+        // First empty way, else the first minimal stamp. An empty way
+        // scans as stamp 0, below every filled way's (>= 1), so one
+        // minimum scan covers both; it is written as selects, which
+        // compile to conditional moves (see PrivateLru::access).
         const std::uint64_t *row = &stamps_[access.set * geom_.ways];
         std::uint32_t victim = 0;
-        for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!lines[w].valid)
-                return w;
-            if (row[w] < row[victim])
-                victim = w;
+        std::uint64_t oldest = lines.tags[0] == kInvalidTag ? 0 : row[0];
+        for (std::uint32_t w = 1; w < geom_.ways; ++w) {
+            const std::uint64_t stamp =
+                lines.tags[w] == kInvalidTag ? 0 : row[w];
+            const bool older = stamp < oldest;
+            victim = older ? w : victim;
+            oldest = older ? stamp : oldest;
         }
         return victim;
     }

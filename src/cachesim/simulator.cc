@@ -2,7 +2,9 @@
 
 #include <chrono>
 
+#include "common/cpu_budget.hh"
 #include "common/logging.hh"
+#include "replay_stages.hh"
 
 namespace glider {
 namespace sim {
@@ -36,42 +38,33 @@ runSingleCore(AccessSource &source,
               const SimOptions &opts)
 {
     GLIDER_ASSERT(source.size() > 0);
-    Hierarchy hier(opts.hierarchy, 1, std::move(llc_policy));
-    CoreModel core(opts.core);
+    auto warmup_end = static_cast<std::uint64_t>(
+        opts.warmup_fraction * static_cast<double>(source.size()));
+    LlcStage llc(opts.hierarchy, opts.core, std::move(llc_policy),
+                 warmup_end);
+    WalkStage walk(source, opts.hierarchy, warmup_end);
 
     SingleCoreResult res;
     res.workload = source.name();
-    res.policy = hier.llc().policy().name();
+    res.policy = llc.cache().policy().name();
 
-    auto warmup_end = static_cast<std::uint64_t>(
-        opts.warmup_fraction * static_cast<double>(source.size()));
     auto start = std::chrono::steady_clock::now();
     source.rewind();
-    std::uint64_t i = 0;
-    for (auto chunk = source.nextChunk(); !chunk.empty();
-         chunk = source.nextChunk()) {
-        for (const auto &rec : chunk) {
-            if (opts.cancel && (i & kCancelCheckMask) == 0)
-                opts.cancel->throwIfCancelled();
-            AccessDepth depth =
-                hier.access(0, rec.pc, rec.address, rec.is_write);
-            core.step(depth, hier.latency(depth));
-            if (++i == warmup_end) {
-                hier.clearStatsCounters();
-                core.clearCounters();
-            }
-        }
+    {
+        cpu_budget::SpareCpu spare;
+        runStages(walk, llc, opts.cancel,
+                  spare ? WalkThread::Helper : WalkThread::Caller);
     }
-    core.finish();
+    llc.finish();
     res.sim_seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    res.accesses_simulated = i;
+    res.accesses_simulated = llc.accesses();
 
-    res.instructions = core.instructions();
-    res.cycles = core.cycles();
-    res.ipc = core.ipc();
-    res.llc = hier.llc().stats();
+    res.instructions = llc.core().instructions();
+    res.cycles = llc.core().cycles();
+    res.ipc = llc.core().ipc();
+    res.llc = llc.cache().stats();
     return res;
 }
 

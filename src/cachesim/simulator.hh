@@ -73,7 +73,7 @@ struct SimOptions
     double warmup_fraction = 0.2; //!< accesses before stats reset
     /**
      * Optional cooperative cancellation: when set, the replay loops
-     * poll the token every few thousand accesses and unwind with
+     * poll the token every thousand or so accesses and unwind with
      * CancelledError once it fires (soft deadline or stop request).
      * The token must outlive the run; nullptr disables polling.
      */
@@ -84,9 +84,18 @@ struct SimOptions
  * Run @p source on a single core with @p llc_policy in the LLC.
  * The first warmup_fraction of accesses prime the caches, then all
  * counters reset and the remainder is measured (the paper warms 200M
- * instructions and measures 1B). This is the one replay loop — the
- * Trace overload delegates here, so streamed and in-memory runs are
- * bit-identical by construction.
+ * instructions and measures 1B). This is the one single-core replay
+ * — the Trace overload delegates here, so streamed and in-memory runs
+ * are bit-identical by construction. It runs in two stages
+ * (replay_stages.hh): one reads @p source and walks the private
+ * L1/L2, the other runs the LLC, the policy and the core model on
+ * the calling thread. When the process-wide CPU tally
+ * (common/cpu_budget.hh) shows a free CPU, the first stage runs on a
+ * helper thread started for this call, beside the second; otherwise,
+ * as on a sweep worker of a pool that fills every CPU, the two
+ * alternate on the calling thread. Exceptions from either stage (a
+ * corrupt source chunk, a policy check, cancellation) propagate here
+ * after both have stopped.
  */
 SingleCoreResult runSingleCore(AccessSource &source,
                                std::unique_ptr<ReplacementPolicy>

@@ -16,9 +16,10 @@
  * In default builds every call collapses to a constant and the guard
  * compiles away; tests that depend on real counts should skip when
  * allocGuardEnabled() is false. Counters are thread_local, so a
- * check only sees allocations made by its own thread — exactly what
- * the single-threaded simulator hot path needs, and immune to noise
- * from worker-pool threads.
+ * check only sees allocations made by its own thread — so a test
+ * drives the simulator's hot loops (including both single-core
+ * replay stages) on the checking thread, immune to noise from
+ * worker-pool threads.
  */
 
 #include <cstdint>

@@ -4,7 +4,9 @@
  * experiment harness to fan independent (workload x policy)
  * simulations across cores. Tasks are plain callables; results and
  * exceptions travel back through std::future, so a worker that throws
- * surfaces the exception at the caller's get().
+ * surfaces the exception at the caller's get(). While it has work, a
+ * pool holds min(workers, queued + running tasks) CPUs in the
+ * process-wide cpu_budget tally.
  */
 
 #ifndef GLIDER_COMMON_THREAD_POOL_HH
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "cancellation.hh"
+#include "cpu_budget.hh"
 
 namespace glider {
 
@@ -34,11 +37,10 @@ class ThreadPool
   public:
     /** @param threads Worker count; 0 is clamped to 1. */
     explicit ThreadPool(unsigned threads = defaultThreads())
+        : threads_(threads ? threads : 1)
     {
-        if (threads == 0)
-            threads = 1;
-        workers_.reserve(threads);
-        for (unsigned i = 0; i < threads; ++i)
+        workers_.reserve(threads_);
+        for (unsigned i = 0; i < threads_; ++i)
             workers_.emplace_back([this] { workerLoop(); });
     }
 
@@ -73,6 +75,8 @@ class ThreadPool
                 throw std::runtime_error(
                     "ThreadPool::submit after shutdown");
             queue_.emplace([task] { (*task)(); });
+            if (pending_++ < threads_)
+                cpu_budget::adjust(1);
             submitted_.fetch_add(1, std::memory_order_relaxed);
             std::size_t depth = queue_.size();
             std::size_t peak =
@@ -158,6 +162,7 @@ class ThreadPool
     void
     workerLoop()
     {
+        cpu_budget::markPoolWorker();
         for (;;) {
             std::function<void()> task;
             {
@@ -171,14 +176,19 @@ class ThreadPool
             }
             task(); // packaged_task captures any exception
             completed_.fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (pending_-- <= threads_)
+                cpu_budget::adjust(-1);
         }
     }
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::queue<std::function<void()>> queue_;
+    const unsigned threads_;
     std::vector<std::thread> workers_;
     bool stopping_ = false;
+    std::size_t pending_ = 0; //!< queued + running tasks
     std::atomic<std::uint64_t> submitted_{0}; // glider-mo: counter-relaxed
     std::atomic<std::uint64_t> completed_{0}; // glider-mo: counter-relaxed
     std::atomic<std::size_t> peak_queue_{0};  // glider-mo: counter-relaxed

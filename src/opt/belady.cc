@@ -9,15 +9,51 @@ namespace opt {
 std::vector<std::size_t>
 computeNextUse(const traces::Trace &stream)
 {
-    std::vector<std::size_t> next(stream.size(), SIZE_MAX);
-    std::unordered_map<std::uint64_t, std::size_t> last_seen;
-    last_seen.reserve(stream.size() / 4 + 1);
-    for (std::size_t i = stream.size(); i-- > 0;) {
+    const std::size_t n = stream.size();
+    std::vector<std::size_t> next(n, SIZE_MAX);
+    if (n == 0)
+        return next;
+
+    // Block -> most recent (backward scan: next) access index, in a
+    // flat open-addressing table kept at a load factor of at most
+    // 2/3 and doubled as new blocks appear, so it grows with the
+    // stream's footprint, not its length. Fibonacci hashing spreads
+    // strided block addresses; linear probing keeps each probe
+    // sequence in a cache line or two.
+    struct Slot
+    {
+        std::uint64_t block = sim::kInvalidTag; //!< empty slot
+        std::size_t index = 0;
+    };
+    constexpr int kInitialBits = 10;
+    std::vector<Slot> table(std::size_t{1} << kInitialBits);
+    int shift = 64 - kInitialBits;
+    std::size_t used = 0;
+    auto find = [&](std::uint64_t block) -> Slot & {
+        const std::size_t mask = table.size() - 1;
+        std::size_t s = (block * 0x9E3779B97F4A7C15ull) >> shift;
+        while (table[s].block != block
+               && table[s].block != sim::kInvalidTag)
+            s = (s + 1) & mask;
+        return table[s];
+    };
+    for (std::size_t i = n; i-- > 0;) {
         std::uint64_t block = traces::blockAddr(stream[i].address);
-        auto it = last_seen.find(block);
-        if (it != last_seen.end())
-            next[i] = it->second;
-        last_seen[block] = i;
+        Slot &slot = find(block);
+        if (slot.block == block) {
+            next[i] = slot.index;
+            slot.index = i;
+            continue;
+        }
+        slot = Slot{block, i};
+        if (++used * 3 > table.size() * 2) {
+            std::vector<Slot> old(table.size() * 2);
+            old.swap(table);
+            --shift;
+            for (const Slot &moved : old)
+                if (moved.block != sim::kInvalidTag)
+                    find(moved.block) = moved;
+        }
     }
     return next;
 }

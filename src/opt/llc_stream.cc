@@ -1,6 +1,8 @@
 #include "llc_stream.hh"
 
-#include "cachesim/private_lru.hh"
+#include <algorithm>
+
+#include "cachesim/hierarchy.hh"
 
 namespace glider {
 namespace opt {
@@ -9,18 +11,19 @@ traces::Trace
 extractLlcStream(const traces::Trace &cpu_trace,
                  const sim::HierarchyConfig &config)
 {
-    // The same private levels sim::Hierarchy walks, so for a
-    // single-core trace this stream is exactly what reaches the live
-    // hierarchy's LLC.
-    sim::PrivateLru l1(config.l1);
-    sim::PrivateLru l2(config.l2);
+    // The private half of sim::Hierarchy's walk, one L1/L2 pair per
+    // core, so this is exactly the stream that reaches the live
+    // hierarchy's LLC when each record runs on core rec.core.
+    unsigned cores = 1;
+    for (const auto &rec : cpu_trace)
+        cores = std::max(cores, rec.core + 1u);
+    sim::PrivateWalk walk(config, cores);
 
     traces::Trace out(cpu_trace.name() + ".llc");
     for (const auto &rec : cpu_trace) {
-        std::uint64_t block = traces::blockAddr(rec.address);
-        if (l1.access(block) || l2.access(block))
-            continue;
-        out.push(rec);
+        if (walk.access(rec.core, traces::blockAddr(rec.address))
+            == sim::AccessDepth::Llc)
+            out.push(rec);
     }
     return out;
 }

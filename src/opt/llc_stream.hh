@@ -22,7 +22,8 @@ namespace opt {
 
 /**
  * Filter @p cpu_trace through L1 and L2 (per Table 1, LRU) and return
- * the stream of accesses that reach the LLC.
+ * the stream of accesses that reach the LLC. Each record walks the
+ * private levels of its own core (rec.core), as in sim::Hierarchy.
  */
 traces::Trace extractLlcStream(const traces::Trace &cpu_trace,
                                const sim::HierarchyConfig &config

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
 
 #include "cachesim/cache.hh"
 #include "cachesim/core_model.hh"
 #include "cachesim/hierarchy.hh"
+#include "cachesim/replay_stages.hh"
 #include "common/alloc_guard.hh"
 #include "core/glider_predictor.hh"
 #include "core/policy_factory.hh"
@@ -114,6 +116,37 @@ TEST(AllocGuard, HierarchyAccessPathIsAllocationFree)
     }
     EXPECT_EQ(guard.allocations(), 0u)
         << "Hierarchy::access allocated on the warmed path";
+}
+
+TEST(AllocGuard, ReplayStageChunkLoopsAreAllocationFree)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "build with -DGLIDER_ALLOCGUARD=ON";
+    // Both per-chunk stage loops on one thread, with the warm-up
+    // reset falling inside the measured window.
+    const auto &trace =
+        glider::workloads::cachedTrace("libquantum", 100'000);
+    glider::sim::TraceSource source(trace);
+    glider::sim::HierarchyConfig cfg;
+    const std::uint64_t warmup_end = kWarmup + kMeasured / 2;
+    glider::sim::WalkStage walk(source, cfg, warmup_end);
+    glider::sim::LlcStage llc(cfg, glider::sim::CoreParams(),
+                              glider::core::makePolicy("SRRIP"),
+                              warmup_end);
+    auto chunk = std::make_unique<glider::sim::WalkChunk>();
+    std::size_t i = 0;
+    for (; i < kWarmup; i += chunk->count) {
+        walk.fill(*chunk);
+        llc.run(*chunk);
+    }
+    ScopedAllocCheck guard;
+    for (; i < kWarmup + kMeasured; i += chunk->count) {
+        walk.fill(*chunk);
+        llc.run(*chunk);
+    }
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "WalkStage::fill or LlcStage::run allocated";
+    EXPECT_GT(llc.core().instructions(), 0u);
 }
 
 TEST(AllocGuard, CoreModelStepIsAllocationFree)

@@ -13,6 +13,7 @@
 #include "opt/belady.hh"
 #include "opt/llc_stream.hh"
 #include "policies/hawkeye.hh"
+#include "verify/checked_policy.hh"
 #include "workloads/registry.hh"
 #include "workloads/scheduler_kernel.hh"
 
@@ -149,8 +150,11 @@ TEST(Integration, OnlineAccuracyProbesWork)
     // the accuracy probe after the run.
     sim::HierarchyConfig cfg = smallHierarchyOpts().hierarchy;
     sim::Hierarchy hier(cfg, 1, core::makePolicy("Glider"));
-    auto &llc_policy =
-        static_cast<core::GliderPolicy &>(hier.llc().policy());
+    // A GLIDER_CHECKED build hands out Glider wrapped in the checker.
+    sim::ReplacementPolicy *policy = &hier.llc().policy();
+    if (auto *checked = dynamic_cast<verify::CheckedPolicy *>(policy))
+        policy = &checked->inner();
+    auto &llc_policy = dynamic_cast<core::GliderPolicy &>(*policy);
     for (const auto &rec : trace)
         hier.access(0, rec.pc, rec.address, rec.is_write);
     EXPECT_GT(llc_policy.predictorAccuracy().events, 100u);

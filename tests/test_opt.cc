@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cachesim/basic_lru.hh"
 #include "cachesim/cache.hh"
+#include "cachesim/hierarchy.hh"
 #include "common/rng.hh"
 #include "opt/belady.hh"
 #include "opt/llc_stream.hh"
@@ -39,6 +41,52 @@ TEST(NextUse, SimpleChain)
     EXPECT_EQ(next[3], SIZE_MAX);
     EXPECT_EQ(next[4], SIZE_MAX);
     EXPECT_EQ(next[5], SIZE_MAX);
+}
+
+/** computeNextUse by definition: scan forward for the same block. */
+std::vector<std::size_t>
+naiveNextUse(const traces::Trace &t)
+{
+    std::vector<std::size_t> next(t.size(), SIZE_MAX);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        for (std::size_t j = i + 1; j < t.size(); ++j) {
+            if (traces::blockAddr(t[j].address)
+                == traces::blockAddr(t[i].address)) {
+                next[i] = j;
+                break;
+            }
+        }
+    }
+    return next;
+}
+
+TEST(NextUse, MatchesNaiveScanUnderHeavyReuse)
+{
+    EXPECT_TRUE(computeNextUse(traces::Trace("empty")).empty());
+    // Small block universes force long probe chains of reused keys;
+    // the power-of-two strides alias in the low address bits. Seeds
+    // 13-16 use 512-4096 blocks, so the table grows (it starts at
+    // 1024 slots) while reused keys are in it.
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Rng rng(seed);
+        const std::uint64_t universe = seed > 12
+            ? std::uint64_t{1} << (seed - 4)
+            : std::uint64_t{1} << rng.below(11);
+        const std::uint64_t stride = std::uint64_t{1} << rng.below(20);
+        const std::size_t len = seed > 12 ? 3 * universe
+                                          : 1 + rng.below(3000);
+        std::vector<std::uint64_t> blocks;
+        for (std::size_t i = 0; i < len; ++i)
+            blocks.push_back(rng.below(universe) * stride);
+        auto t = fromBlocks(blocks);
+        auto got = computeNextUse(t);
+        auto want = naiveNextUse(t);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], want[i])
+                << "seed " << seed << " universe " << universe
+                << " stride " << stride << " access " << i;
+    }
 }
 
 TEST(Belady, TinyFullyAssociativeExample)
@@ -352,6 +400,37 @@ TEST(LlcStream, PreservesOrderAndPcs)
     ASSERT_EQ(llc.size(), 64u);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(llc[i].pc, 0x400000u + i);
+}
+
+TEST(LlcStream, MultiCoreTraceMatchesLiveHierarchy)
+{
+    // Two cores with disjoint footprints of 6000 blocks each, records
+    // interleaved at random: every record must walk its own core's
+    // L1/L2, exactly as sim::Hierarchy does.
+    const auto cfg = sim::HierarchyConfig::forCores(2);
+    traces::Trace t("two-core");
+    Rng rng(11);
+    for (int i = 0; i < 200'000; ++i) {
+        auto core = static_cast<std::uint8_t>(rng.below(2));
+        std::uint64_t block = core * 1'000'000 + rng.below(6000);
+        t.push(0x400000 + rng.below(64) * 4, block * 64, rng.chance(0.2),
+               core);
+    }
+
+    sim::Hierarchy hier(cfg, 2, std::make_unique<sim::BasicLruPolicy>());
+    std::vector<traces::AccessRecord> live;
+    for (const auto &rec : t) {
+        auto depth = hier.access(rec.core, rec.pc, rec.address,
+                                 rec.is_write);
+        if (depth == sim::AccessDepth::Llc
+            || depth == sim::AccessDepth::Dram)
+            live.push_back(rec);
+    }
+
+    auto extracted = extractLlcStream(t, cfg);
+    ASSERT_EQ(extracted.size(), live.size());
+    for (std::size_t i = 0; i < live.size(); ++i)
+        ASSERT_EQ(extracted[i], live[i]) << "LLC request " << i;
 }
 
 } // namespace

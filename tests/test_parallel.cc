@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "common/cpu_budget.hh"
 #include "common/thread_pool.hh"
 #include "traces/trace_cache.hh"
 
@@ -92,6 +93,32 @@ TEST(ThreadPool, ZeroThreadsClampedToOne)
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), 1u);
     EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
+}
+
+TEST(ThreadPool, HoldsItsCpuShareWhileBusy)
+{
+    // A pool holds min(workers, queued + running tasks) CPUs in the
+    // process-wide tally while it has work, and its workers know
+    // their CPU is counted.
+    const unsigned before = cpu_budget::held();
+    std::atomic<bool> go{false};
+    ThreadPool pool(2);
+    EXPECT_EQ(cpu_budget::held(), before);
+    std::vector<std::future<bool>> futures;
+    for (int i = 0; i < 3; ++i) {
+        futures.push_back(pool.submit([&go] {
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            return cpu_budget::onPoolWorker();
+        }));
+    }
+    EXPECT_EQ(cpu_budget::held(), before + 2);
+    EXPECT_FALSE(cpu_budget::onPoolWorker());
+    go.store(true, std::memory_order_release);
+    for (auto &f : futures)
+        EXPECT_TRUE(f.get());
+    pool.shutdown(); // a worker gives its share back after the task
+    EXPECT_EQ(cpu_budget::held(), before);
 }
 
 // --------------------------------------------------------- trace cache

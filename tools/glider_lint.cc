@@ -48,8 +48,10 @@
  *                   throw-free, lock-free functions
  *                   (tools/lint/call_graph.*).
  *   atomic-order    Explicit std::memory_order on every atomic op in
- *                   src/serve/ + the thread-pool/cancellation
- *                   headers, and machine-checked `// glider-mo:`
+ *                   src/serve/, the thread-pool/cancellation
+ *                   headers, the CPU budget and the replay-stage
+ *                   handoff, and
+ *                   machine-checked `// glider-mo:`
  *                   contracts on atomic members
  *                   (tools/lint/atomic_order.*).
  *

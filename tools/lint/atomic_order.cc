@@ -59,7 +59,9 @@ inScope(const std::string &rel)
 {
     return startsWith(rel, "src/serve/")
         || rel == "src/common/thread_pool.hh"
-        || rel == "src/common/cancellation.hh";
+        || rel == "src/common/cancellation.hh"
+        || startsWith(rel, "src/common/cpu_budget.")
+        || startsWith(rel, "src/cachesim/replay_stages.");
 }
 
 bool

@@ -20,8 +20,10 @@ namespace lint {
 /**
  * Runs over every scanned file but only inspects the rule's scope
  * (src/serve/, src/common/thread_pool.hh,
- * src/common/cancellation.hh). Global because contracts declared in
- * a header govern operations in other translation units.
+ * src/common/cancellation.hh, src/common/cpu_budget.*,
+ * src/cachesim/replay_stages.*). Global
+ * because contracts declared in a header govern operations in other
+ * translation units.
  */
 void ruleAtomicOrder(const std::vector<FileCtx> &files,
                      std::vector<Finding> &out);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cachesim/cache.hh"
-#include "common/hash.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "obs/bench_report.hh"
@@ -130,15 +129,15 @@ BM_BeladySimulate(benchmark::State &state)
 BENCHMARK(BM_BeladySimulate);
 
 // ------------------------------------------------------------------
-// Scalar-vs-batched prediction: the CI-gated vectorization story.
+// Per-access vs batched prediction: the CI-gated vectorization story.
 //
-// BM_IsvmPredictLegacyAoS replays the pre-PR per-access predictor
-// faithfully — one 64-byte array<int,16> ISVM per table entry (AoS,
-// 128KB for 2048 PCs) and a fresh 4-bit hash of every history PC on
-// every call. The batched benchmarks drive the same prediction
-// stream through predictMany on the SoA int8 plane with pre-resolved
-// slot-count features (the serving-layer shape), one backend each.
-// main() derives per-request ns and the batched_speedup ratios that
+// BM_PredictWith times the production per-access prediction against
+// an explicit history snapshot, GliderPredictor::predictWith(pc,
+// history), which hashes every history PC on every call. The
+// batched benchmarks drive the same prediction stream through
+// predictMany on the same table with pre-resolved slot-count
+// features (the serving-layer shape), one backend each. main()
+// derives per-request ns and the batched_speedup ratios that
 // bench_diff gates (>= 2x on the vector path, >= 1x scalar).
 
 /** Requests per predictMany call in the batched benchmarks. */
@@ -146,26 +145,10 @@ constexpr std::size_t kBatch = 64;
 /** Size of the random request stream (power of two for masking). */
 constexpr std::size_t kStreamLen = 4096;
 
-/** Pre-PR ISVM replica: 16 int weights, hash-per-history-PC. */
-struct LegacyIsvm
-{
-    std::array<int, 16> weights{};
-
-    int
-    predict(const opt::PcHistory &h) const
-    {
-        int sum = 0;
-        for (auto pc : h)
-            sum += weights[core::Isvm::slotOf(pc)];
-        return sum;
-    }
-};
-
-/** Shared fixture: trained tables plus a random request stream. */
+/** Shared fixture: a trained table plus a random request stream. */
 struct PredictFixture
 {
     core::GliderPredictor pred;
-    std::vector<LegacyIsvm> legacy; //!< AoS replica, same weights
     std::vector<std::uint64_t> pcs;
     std::vector<opt::PcHistory> histories;
     std::vector<core::SlotCounts> counts;
@@ -184,15 +167,6 @@ struct PredictFixture
                 h.push_back(0x400000 + rng.below(512) * 4);
             pred.train(pc, 0, h, (pc >> 2) % 2 == 0);
         }
-        // Mirror the trained weights into the legacy AoS table so
-        // both paths compute identical sums over identical data.
-        const auto &table = pred.table();
-        legacy.resize(table.entries());
-        for (std::size_t e = 0; e < table.entries(); ++e) {
-            const std::int8_t *row = table.row(e);
-            for (std::size_t j = 0; j < core::kIsvmWeights; ++j)
-                legacy[e].weights[j] = row[j];
-        }
         for (std::size_t i = 0; i < kStreamLen; ++i) {
             pcs.push_back(0x400000 + rng.below(512) * 4);
             opt::PcHistory h;
@@ -208,13 +182,6 @@ struct PredictFixture
             requests.push_back(req);
         }
     }
-
-    std::size_t
-    legacyIndexOf(std::uint64_t pc) const
-    {
-        return static_cast<std::size_t>(
-            hashInto(hashCombine(pc, 0), legacy.size()));
-    }
 };
 
 const PredictFixture &
@@ -225,18 +192,17 @@ predictFixture()
 }
 
 void
-BM_IsvmPredictLegacyAoS(benchmark::State &state)
+BM_PredictWith(benchmark::State &state)
 {
     const PredictFixture &f = predictFixture();
     std::size_t i = 0;
     for (auto _ : state) {
         std::size_t at = i++ & (kStreamLen - 1);
         benchmark::DoNotOptimize(
-            f.legacy[f.legacyIndexOf(f.pcs[at])].predict(
-                f.histories[at]));
+            f.pred.predictWith(f.pcs[at], f.histories[at]));
     }
 }
-BENCHMARK(BM_IsvmPredictLegacyAoS);
+BENCHMARK(BM_PredictWith);
 
 void
 BM_PredictManyBatch(benchmark::State &state, simd::Backend backend)
@@ -340,12 +306,12 @@ main(int argc, char **argv)
           "relative_cost.isvm_train_vs_predict");
 
     // Vectorization gate: per-request cost of each batched backend,
-    // and its speedup over the pre-PR per-access AoS predictor. The
+    // and its speedup over the per-access predictWith path. The
     // speedup tolerances encode absolute floors relative to this
     // baseline's value — the vector path fails bench_diff below 2x,
     // the scalar fallback below parity (1x) — so a vectorization
     // regression fails CI even if everything slows down uniformly.
-    auto legacy = ns.find("BM_IsvmPredictLegacyAoS");
+    auto per_access = ns.find("BM_PredictWith");
     for (auto backend :
          {simd::Backend::Scalar, simd::Backend::Avx2,
           simd::Backend::Neon}) {
@@ -360,9 +326,9 @@ main(int argc, char **argv)
                           + bname,
                       per_request, "ns", obs::Direction::LowerBetter,
                       kAbsTolerance);
-        if (legacy == ns.end() || per_request <= 0.0)
+        if (per_access == ns.end() || per_request <= 0.0)
             continue;
-        double speedup = legacy->second / per_request;
+        double speedup = per_access->second / per_request;
         double floor = backend == simd::Backend::Scalar ? 1.0 : 2.0;
         double tolerance =
             speedup > floor ? (speedup - floor) / speedup : 0.0;

@@ -33,9 +33,9 @@ makePolicy(const std::string &name);
 std::vector<std::string> paperLineup();
 
 /**
- * The policy zoo (ROADMAP bullet 3): FRD, MUSTACHE, COALESCE, and
- * the two cheap heuristic baselines — the lineup of the adversarial
- * scenario grid in fig11/fig12.
+ * The policy zoo: FRD, MUSTACHE, COALESCE, and the two cheap
+ * heuristic baselines — the lineup of the adversarial scenario grid
+ * in fig11_miss_reduction (both of its views).
  */
 std::vector<std::string> zooLineup();
 

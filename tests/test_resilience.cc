@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -188,6 +189,36 @@ TEST(Checkpoint, EncodeDecodeRoundTrips)
     // Wall time is excluded from the checkpoint by design.
     EXPECT_EQ(decoded.sim_seconds, 0.0);
     EXPECT_TRUE(encodeResult(decoded) == encoded);
+}
+
+TEST(Checkpoint, TextRoundTripIsBitExact)
+{
+    // A resumed sweep prints IPC (Figure 12) from rows read back from
+    // the checkpoint file, and must print what a fresh run prints, so
+    // the doubles have to survive the text form exactly.
+    const std::string path = tempPath("ckpt_bits.json");
+    std::remove(path.c_str());
+    const double awkward[] = {
+        1.0 / 3, 0.1 + 0.2, 1.2345, std::nextafter(1.2345, 0.0),
+        std::nextafter(1.2345, 2.0), 5e-324, 123456789.123456789};
+    {
+        SweepCheckpoint ckpt(path, "unit", obs::json::Value::object());
+        for (std::size_t i = 0; i < std::size(awkward); ++i) {
+            auto row = makeRow(std::to_string(i), awkward[i]);
+            row.cycles = awkward[i] * 1e6 + 1.0 / 7;
+            ckpt.record(row.workload, encodeResult(row));
+        }
+    }
+    SweepCheckpoint reloaded(path, "unit", obs::json::Value::object());
+    ASSERT_EQ(reloaded.load(), std::size(awkward));
+    for (std::size_t i = 0; i < std::size(awkward); ++i) {
+        const auto *saved = reloaded.find(std::to_string(i));
+        ASSERT_NE(saved, nullptr);
+        auto row = decodeResult(*saved);
+        EXPECT_EQ(row.ipc, awkward[i]) << i;
+        EXPECT_EQ(row.cycles, awkward[i] * 1e6 + 1.0 / 7) << i;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RecordsAndReloads)

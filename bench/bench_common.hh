@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cachesim/simulator.hh"
+#include "cachesim/walk_memo.hh"
 #include "common/cancellation.hh"
 #include "common/env_registry.hh"
 #include "common/thread_pool.hh"
@@ -393,6 +394,7 @@ class SweepRunner
     runChecked(const SweepOptions &opts)
     {
         auto start = std::chrono::steady_clock::now();
+        const sim::WalkTally walks_before = sim::walkTally();
         resilience::FaultPlan env_plan;
         const resilience::FaultPlan *faults = opts.faults;
         if (!faults) {
@@ -440,6 +442,7 @@ class SweepRunner
         wall_seconds_ += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
+        countWalks(walks_before);
         for (const auto &c : outcome.cells) {
             switch (c.status) {
               case resilience::CellStatus::Ok:
@@ -474,6 +477,7 @@ class SweepRunner
     run()
     {
         auto start = std::chrono::steady_clock::now();
+        const sim::WalkTally walks_before = sim::walkTally();
         std::vector<sim::SingleCoreResult> rows;
         rows.reserve(futures_.size());
         for (auto &f : futures_)
@@ -482,6 +486,7 @@ class SweepRunner
         wall_seconds_ += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
+        countWalks(walks_before);
         cells_run_ += rows.size();
         for (const auto &row : rows) {
             accesses_simulated_ += row.accesses_simulated;
@@ -501,8 +506,10 @@ class SweepRunner
 
     /**
      * Export harness throughput telemetry — wall time, aggregate
-     * accesses/sec, mean per-cell rate, and the pool's queue stats —
-     * into @p registry under @p prefix.
+     * accesses/sec, mean per-cell rate, the pool's queue stats, and
+     * the L1/L2 walks of in-memory traces done and reused while
+     * collecting cells (l1l2_walks, l1l2_walk_reuses) — into
+     * @p registry under @p prefix.
      */
     void
     exportMetrics(obs::Registry &registry,
@@ -531,9 +538,19 @@ class SweepRunner
                             pool_.peakQueueDepth());
         registry.setCounter(prefix + ".quarantined", quarantined_);
         registry.setCounter(prefix + ".resumed", resumed_);
+        walks_.exportMetrics(registry, prefix);
     }
 
   private:
+    /** Add the walks done and reused since @p before to walks_. */
+    void
+    countWalks(const sim::WalkTally &before)
+    {
+        sim::WalkTally now = sim::walkTally();
+        walks_.walks += now.walks - before.walks;
+        walks_.reuses += now.reuses - before.reuses;
+    }
+
     struct KeyedCell
     {
         std::string key;
@@ -594,6 +611,7 @@ class SweepRunner
     std::uint64_t accesses_simulated_ = 0;
     std::uint64_t quarantined_ = 0;
     std::uint64_t resumed_ = 0;
+    sim::WalkTally walks_; //!< while collecting cells
 };
 
 /**

@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <span>
@@ -224,6 +225,21 @@ BM_PredictManyBatch(benchmark::State &state, simd::Backend backend)
         * static_cast<std::int64_t>(kBatch));
 }
 
+using NsPerOp = std::map<std::string, double>;
+
+/** Record each iteration run's real time (ns/op) in @p out. */
+void
+captureNs(const std::vector<benchmark::BenchmarkReporter::Run> &runs,
+          NsPerOp &out)
+{
+    for (const auto &run : runs) {
+        if (run.run_type != benchmark::BenchmarkReporter::Run::RT_Iteration
+            || run.error_occurred)
+            continue;
+        out[run.benchmark_name()] = run.GetAdjustedRealTime();
+    }
+}
+
 /**
  * Console reporter that additionally captures per-benchmark real
  * time (ns/op) so main() can emit the shared BENCH JSON next to the
@@ -235,25 +251,55 @@ class CapturingReporter : public benchmark::ConsoleReporter
     void
     ReportRuns(const std::vector<Run> &runs) override
     {
-        for (const auto &run : runs) {
-            if (run.run_type != Run::RT_Iteration
-                || run.error_occurred)
-                continue;
-            ns_per_op_[run.benchmark_name()] =
-                run.GetAdjustedRealTime();
-        }
+        captureNs(runs, ns_per_op_);
         benchmark::ConsoleReporter::ReportRuns(runs);
     }
 
-    const std::map<std::string, double> &
-    nsPerOp() const
-    {
-        return ns_per_op_;
-    }
+    const NsPerOp &nsPerOp() const { return ns_per_op_; }
 
   private:
-    std::map<std::string, double> ns_per_op_;
+    NsPerOp ns_per_op_;
 };
+
+/** Captures ns/op like CapturingReporter, printing nothing. */
+class QuietReporter : public benchmark::BenchmarkReporter
+{
+  public:
+    bool ReportContext(const Context &) override { return true; }
+    void ReportRuns(const std::vector<Run> &runs) override
+    {
+        captureNs(runs, ns_per_op);
+    }
+
+    NsPerOp ns_per_op;
+};
+
+/**
+ * Cost of benchmark @p num relative to benchmark @p den: the median,
+ * over rounds that run the two back to back, of the per-round ratio
+ * of their ns/op. A load change on a shared host between two
+ * benchmarks run seconds apart moves one side of a single ratio; in
+ * a round it moves both, and the median drops the rounds it splits.
+ */
+double
+interleavedRatio(const std::string &num, const std::string &den)
+{
+    constexpr int kRounds = 5;
+    std::vector<double> ratios;
+    for (int r = 0; r < kRounds; ++r) {
+        QuietReporter round;
+        benchmark::RunSpecifiedBenchmarks(&round,
+                                          "^(" + num + "|" + den + ")$");
+        double n = round.ns_per_op[num];
+        double d = round.ns_per_op[den];
+        if (n > 0.0 && d > 0.0)
+            ratios.push_back(n / d);
+    }
+    if (ratios.empty())
+        return 0.0;
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[ratios.size() / 2];
+}
 
 } // namespace
 
@@ -277,7 +323,6 @@ main(int argc, char **argv)
     }
     CapturingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
 
     // Absolute ns/op numbers are machine-dependent (gated only
     // against collapse); the derived ratios compare two measurements
@@ -293,17 +338,16 @@ main(int argc, char **argv)
 
     auto ratio = [&](const char *num, const char *den,
                      const std::string &metric) {
-        auto n = ns.find(num);
-        auto d = ns.find(den);
-        if (n != ns.end() && d != ns.end() && d->second > 0.0)
-            report.metric(metric, n->second / d->second, "x",
-                          obs::Direction::LowerBetter,
+        double r = interleavedRatio(num, den);
+        if (r > 0.0)
+            report.metric(metric, r, "x", obs::Direction::LowerBetter,
                           kRatioTolerance);
     };
     ratio("BM_LlcAccessGlider", "BM_LlcAccessLru",
           "relative_cost.glider_vs_lru");
     ratio("BM_IsvmTrain", "BM_IsvmPredict",
           "relative_cost.isvm_train_vs_predict");
+    benchmark::Shutdown();
 
     // Vectorization gate: per-request cost of each batched backend,
     // and its speedup over the per-access predictWith path. The

@@ -47,13 +47,17 @@ elapsed(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Best accesses/second over @p reps runs of @p body. */
-template <typename F>
+/**
+ * Best accesses/second over @p reps runs of @p body, each after an
+ * untimed run of @p prepare.
+ */
+template <typename P, typename F>
 double
-bestRate(std::uint64_t accesses, int reps, F body)
+bestRate(std::uint64_t accesses, int reps, P prepare, F body)
 {
     double best = 0.0;
     for (int r = 0; r < reps; ++r) {
+        prepare();
         auto t0 = std::chrono::steady_clock::now();
         body();
         double secs = elapsed(t0);
@@ -63,6 +67,13 @@ bestRate(std::uint64_t accesses, int reps, F body)
             best = rate;
     }
     return best;
+}
+
+template <typename F>
+double
+bestRate(std::uint64_t accesses, int reps, F body)
+{
+    return bestRate(accesses, reps, [] {}, body);
 }
 
 bool
@@ -129,13 +140,19 @@ main()
 
     // Replay: the full simulator loop, in-memory vs streamed, same
     // policy and options. Rates are measured per rep; results are
-    // hard-gated bit-identical.
+    // hard-gated bit-identical. Each in-memory rep replays a fresh
+    // copy of the trace, made untimed: a copy has no L1/L2 walk
+    // memoised, so every rep walks the private levels, as every
+    // streamed rep does.
     sim::SimOptions opts;
     sim::SingleCoreResult mem_res;
-    double mem_rate = bestRate(trace.size(), reps, [&] {
-        mem_res = sim::runSingleCore(trace, core::makePolicy("LRU"),
-                                     opts);
-    });
+    traces::Trace fresh;
+    double mem_rate = bestRate(
+        trace.size(), reps, [&] { fresh = trace; },
+        [&] {
+            mem_res = sim::runSingleCore(fresh, core::makePolicy("LRU"),
+                                         opts);
+        });
     sim::SingleCoreResult stream_res;
     double stream_rate = bestRate(trace.size(), reps, [&] {
         traces::StreamingTrace rep_st;

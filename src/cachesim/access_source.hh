@@ -49,6 +49,13 @@ class AccessSource
 
     /** Restart delivery from the first record. */
     virtual void rewind() = 0;
+
+    /**
+     * The trace this source delivers whole from RAM, or null. A
+     * replay of an in-memory trace reads the records and the trace's
+     * memoised L1/L2 walk directly instead of the chunks.
+     */
+    virtual const traces::Trace *inMemory() const { return nullptr; }
 };
 
 /** In-memory source: the whole trace as one zero-copy chunk. */
@@ -70,6 +77,8 @@ class TraceSource final : public AccessSource
     }
 
     void rewind() override { delivered_ = false; }
+
+    const traces::Trace *inMemory() const override { return trace_; }
 
   private:
     const traces::Trace *trace_;

@@ -9,9 +9,11 @@
  * sequence, never on the LLC policy or the core model. The walk is
  * therefore split into two halves: PrivateWalk (every core's L1/L2)
  * and SharedLlc (the LLC and its per-core traffic). Hierarchy is
- * their sequential composition; the single-core replay runs the two
- * halves on two threads (replay_stages.hh), and opt::extractLlcStream
- * runs PrivateWalk alone.
+ * their sequential composition. The single-core replay of an
+ * in-memory trace runs PrivateWalk once per trace and memoises its
+ * outcome (walk_memo.hh), which opt::extractLlcStream filters too; a
+ * streamed replay runs the two halves as two stages, on two threads
+ * when a CPU is free (replay_stages.hh).
  */
 
 #ifndef GLIDER_CACHESIM_HIERARCHY_HH

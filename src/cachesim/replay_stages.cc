@@ -86,20 +86,48 @@ LlcStage::LlcStage(const HierarchyConfig &config, const CoreParams &core,
 {
 }
 
+template <typename Request>
+inline void
+LlcStage::step(AccessDepth depth, Request &&request)
+{
+    if (depth == AccessDepth::Llc) {
+        // glider-lint: allow(hotpath-transitive) request() is one of
+        // the two inline lambdas below: it reads one request.
+        const LlcRequest req = request();
+        depth = llc_.access(0, req.pc, req.block, req.is_write);
+    }
+    core_.step(depth, latency_[static_cast<std::size_t>(depth)]);
+    if (++index_ == warmup_end_) {
+        llc_.clearStats();
+        core_.clearCounters();
+    }
+}
+
 void
 LlcStage::run(const WalkChunk &chunk)
 {
     const LlcRequest *req = chunk.llc.data();
-    for (std::uint32_t k = 0; k < chunk.count; ++k) {
-        AccessDepth depth = chunk.depth[k];
-        if (depth == AccessDepth::Llc) {
-            depth = llc_.access(0, req->pc, req->block, req->is_write);
-            ++req;
-        }
-        core_.step(depth, latency_[static_cast<std::size_t>(depth)]);
-        if (++index_ == warmup_end_) {
-            llc_.clearStats();
-            core_.clearCounters();
+    for (std::uint32_t k = 0; k < chunk.count; ++k)
+        step(chunk.depth[k], [&] { return *req++; });
+}
+
+void
+LlcStage::run(std::span<const traces::AccessRecord> records,
+              DepthCodes depths, const CancelToken *cancel)
+{
+    for (std::size_t first = 0; first < records.size();
+         first += WalkChunk::kCapacity) {
+        if (cancel)
+            cancel->throwIfCancelled();
+        std::size_t end =
+            std::min<std::size_t>(records.size(),
+                                  first + WalkChunk::kCapacity);
+        for (std::size_t i = first; i < end; ++i) {
+            step(depths[i], [&] {
+                const traces::AccessRecord &rec = records[i];
+                return LlcRequest{rec.pc, traces::blockAddr(rec.address),
+                                  rec.is_write};
+            });
         }
     }
 }

@@ -15,10 +15,13 @@
  *  - LlcStage (stage B, the calling thread) replays those requests
  *    into the LLC under study and steps the core model.
  *
- * runStages() wires them together: stage A either alternates with
- * stage B on the calling thread, one chunk at a time, or runs beside
- * it on a helper thread, handing chunks over through a ChunkRing of
- * preallocated slots.
+ * An in-memory trace needs no stage A: its walk is memoised on the
+ * trace (walk_memo.hh), and LlcStage replays the records beside their
+ * depth codes. Streamed sources take runStages(), which wires the two
+ * stages together: stage A either alternates with stage B on the
+ * calling thread, one chunk at a time, or runs beside it on a helper
+ * thread, handing chunks over through a ChunkRing of preallocated
+ * slots.
  */
 
 #ifndef GLIDER_CACHESIM_REPLAY_STAGES_HH
@@ -36,6 +39,7 @@
 #include "common/cancellation.hh"
 #include "core_model.hh"
 #include "hierarchy.hh"
+#include "walk_memo.hh"
 
 namespace glider {
 namespace sim {
@@ -114,6 +118,14 @@ class LlcStage
      *  then a core-model step for every access. */
     void run(const WalkChunk &chunk);
 
+    /**
+     * Replay @p records, each stopping in the private levels where
+     * @p depths says, polling @p cancel (may be null) once every
+     * WalkChunk::kCapacity accesses.
+     */
+    void run(std::span<const traces::AccessRecord> records,
+             DepthCodes depths, const CancelToken *cancel);
+
     /** Drain the core model at the end of the replay. */
     void finish() { core_.finish(); }
 
@@ -122,6 +134,11 @@ class LlcStage
     std::uint64_t accesses() const { return index_; }
 
   private:
+    /** One access that stopped at @p depth in the private levels;
+     *  @p request() gives its LlcRequest when depth is Llc. */
+    template <typename Request>
+    void step(AccessDepth depth, Request &&request);
+
     DepthLatencies latency_;
     SharedLlc llc_;
     CoreModel core_;

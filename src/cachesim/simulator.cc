@@ -30,6 +30,34 @@ struct ChunkCursor
     std::size_t pos = 0;
 };
 
+/** Warm-up length of a @p accesses-access single-core run. */
+std::uint64_t
+warmupEnd(const SimOptions &opts, std::uint64_t accesses)
+{
+    return static_cast<std::uint64_t>(opts.warmup_fraction
+                                      * static_cast<double>(accesses));
+}
+
+/** The result of a finished replay that started at @p start. */
+SingleCoreResult
+resultOf(const std::string &workload, LlcStage &llc,
+         std::chrono::steady_clock::time_point start)
+{
+    llc.finish();
+    SingleCoreResult res;
+    res.sim_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    res.workload = workload;
+    res.policy = llc.cache().policy().name();
+    res.accesses_simulated = llc.accesses();
+    res.instructions = llc.core().instructions();
+    res.cycles = llc.core().cycles();
+    res.ipc = llc.core().ipc();
+    res.llc = llc.cache().stats();
+    return res;
+}
+
 } // namespace
 
 SingleCoreResult
@@ -37,16 +65,13 @@ runSingleCore(AccessSource &source,
               std::unique_ptr<ReplacementPolicy> llc_policy,
               const SimOptions &opts)
 {
+    if (const traces::Trace *trace = source.inMemory())
+        return runSingleCore(*trace, std::move(llc_policy), opts);
     GLIDER_ASSERT(source.size() > 0);
-    auto warmup_end = static_cast<std::uint64_t>(
-        opts.warmup_fraction * static_cast<double>(source.size()));
+    auto warmup_end = warmupEnd(opts, source.size());
     LlcStage llc(opts.hierarchy, opts.core, std::move(llc_policy),
                  warmup_end);
     WalkStage walk(source, opts.hierarchy, warmup_end);
-
-    SingleCoreResult res;
-    res.workload = source.name();
-    res.policy = llc.cache().policy().name();
 
     auto start = std::chrono::steady_clock::now();
     source.rewind();
@@ -55,17 +80,7 @@ runSingleCore(AccessSource &source,
         runStages(walk, llc, opts.cancel,
                   spare ? WalkThread::Helper : WalkThread::Caller);
     }
-    llc.finish();
-    res.sim_seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    res.accesses_simulated = llc.accesses();
-
-    res.instructions = llc.core().instructions();
-    res.cycles = llc.core().cycles();
-    res.ipc = llc.core().ipc();
-    res.llc = llc.cache().stats();
-    return res;
+    return resultOf(source.name(), llc, start);
 }
 
 SingleCoreResult
@@ -74,8 +89,12 @@ runSingleCore(const traces::Trace &trace,
               const SimOptions &opts)
 {
     GLIDER_ASSERT(!trace.empty());
-    TraceSource source(trace);
-    return runSingleCore(source, std::move(llc_policy), opts);
+    LlcStage llc(opts.hierarchy, opts.core, std::move(llc_policy),
+                 warmupEnd(opts, trace.size()));
+    auto start = std::chrono::steady_clock::now();
+    llc.run(trace.records(), walkMemo(trace, opts.hierarchy),
+            opts.cancel);
+    return resultOf(trace.name(), llc, start);
 }
 
 MultiCoreResult

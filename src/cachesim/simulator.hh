@@ -84,25 +84,29 @@ struct SimOptions
  * Run @p source on a single core with @p llc_policy in the LLC.
  * The first warmup_fraction of accesses prime the caches, then all
  * counters reset and the remainder is measured (the paper warms 200M
- * instructions and measures 1B). This is the one single-core replay
- * — the Trace overload delegates here, so streamed and in-memory runs
- * are bit-identical by construction. It runs in two stages
- * (replay_stages.hh): one reads @p source and walks the private
- * L1/L2, the other runs the LLC, the policy and the core model on
- * the calling thread. When the process-wide CPU tally
- * (common/cpu_budget.hh) shows a free CPU, the first stage runs on a
- * helper thread started for this call, beside the second; otherwise,
- * as on a sweep worker of a pool that fills every CPU, the two
- * alternate on the calling thread. Exceptions from either stage (a
- * corrupt source chunk, a policy check, cancellation) propagate here
- * after both have stopped.
+ * instructions and measures 1B). It runs in two stages
+ * (replay_stages.hh): one walks the private L1/L2, the other runs
+ * the LLC, the policy and the core model on the calling thread.
+ *
+ * A source held in RAM (AccessSource::inMemory()) goes to the Trace
+ * overload. Otherwise the first stage reads @p source: when the
+ * process-wide CPU tally (common/cpu_budget.hh) shows a free CPU, it
+ * runs on a helper thread started for this call, beside the second;
+ * otherwise the two alternate on the calling thread. Exceptions from
+ * either stage (a corrupt source chunk, a policy check, cancellation)
+ * propagate here after both have stopped. Both paths give the same
+ * counts, so streamed and in-memory runs are bit-identical.
  */
 SingleCoreResult runSingleCore(AccessSource &source,
                                std::unique_ptr<ReplacementPolicy>
                                    llc_policy,
                                const SimOptions &opts = SimOptions());
 
-/** In-memory convenience overload of the AccessSource driver. */
+/**
+ * The in-memory replay: the trace's private-level walk is memoised on
+ * it (walk_memo.hh), walked by the first replay and read by every
+ * later one, so only the second stage runs, on the calling thread.
+ */
 SingleCoreResult runSingleCore(const traces::Trace &trace,
                                std::unique_ptr<ReplacementPolicy>
                                    llc_policy,

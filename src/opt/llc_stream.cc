@@ -1,8 +1,9 @@
 #include "llc_stream.hh"
 
 #include <algorithm>
+#include <vector>
 
-#include "cachesim/hierarchy.hh"
+#include "cachesim/walk_memo.hh"
 
 namespace glider {
 namespace opt {
@@ -13,17 +14,24 @@ extractLlcStream(const traces::Trace &cpu_trace,
 {
     // The private half of sim::Hierarchy's walk, one L1/L2 pair per
     // core, so this is exactly the stream that reaches the live
-    // hierarchy's LLC when each record runs on core rec.core.
-    unsigned cores = 1;
-    for (const auto &rec : cpu_trace)
-        cores = std::max(cores, rec.core + 1u);
-    sim::PrivateWalk walk(config, cores);
+    // hierarchy's LLC when each record runs on core rec.core. A
+    // single-core trace's walk is the one its replays memoise.
+    std::vector<std::uint8_t> per_core;
+    bool single_core =
+        std::all_of(cpu_trace.begin(), cpu_trace.end(),
+                    [](const traces::AccessRecord &rec) {
+                        return rec.core == 0;
+                    });
+    if (!single_core)
+        sim::walkPrivateLevels(cpu_trace, config, true, per_core);
+    sim::DepthCodes depths = single_core
+        ? sim::walkMemo(cpu_trace, config)
+        : sim::DepthCodes(per_core);
 
     traces::Trace out(cpu_trace.name() + ".llc");
-    for (const auto &rec : cpu_trace) {
-        if (walk.access(rec.core, traces::blockAddr(rec.address))
-            == sim::AccessDepth::Llc)
-            out.push(rec);
+    for (std::size_t i = 0; i < cpu_trace.size(); ++i) {
+        if (depths[i] == sim::AccessDepth::Llc)
+            out.push(cpu_trace[i]);
     }
     return out;
 }

@@ -8,7 +8,9 @@
  * non-inclusive, the LLC access stream is identical regardless of
  * the LLC replacement policy under study — so it can be extracted
  * once per workload and reused by every offline model and by the
- * BeladyPolicy oracle rows.
+ * BeladyPolicy oracle rows. On a single-core trace the extraction is a
+ * filter over the private-level walk memoised on the trace, so MIN's
+ * stream and every replay of the trace share one walk.
  */
 
 #ifndef GLIDER_OPT_LLC_STREAM_HH
@@ -24,6 +26,8 @@ namespace opt {
  * Filter @p cpu_trace through L1 and L2 (per Table 1, LRU) and return
  * the stream of accesses that reach the LLC. Each record walks the
  * private levels of its own core (rec.core), as in sim::Hierarchy.
+ * When every record is on core 0, this filters the trace's memoised
+ * walk (cachesim/walk_memo.hh), the one sim::runSingleCore reads.
  */
 traces::Trace extractLlcStream(const traces::Trace &cpu_trace,
                                const sim::HierarchyConfig &config

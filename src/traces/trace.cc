@@ -23,6 +23,88 @@ static_assert(sizeof(FileRecord) == 24, "file record must be packed");
 
 } // namespace
 
+Trace::Trace(const Trace &other)
+    : name_(other.name_), records_(other.records_)
+{
+}
+
+Trace &
+Trace::operator=(const Trace &other)
+{
+    if (this != &other) {
+        dropMemo();
+        name_ = other.name_;
+        records_ = other.records_;
+    }
+    return *this;
+}
+
+Trace::Trace(Trace &&other) noexcept
+    : name_(std::move(other.name_)), records_(std::move(other.records_))
+{
+    takeMemo(other);
+}
+
+Trace &
+Trace::operator=(Trace &&other) noexcept
+{
+    if (this != &other) {
+        name_ = std::move(other.name_);
+        records_ = std::move(other.records_);
+        takeMemo(other);
+    }
+    return *this;
+}
+
+void
+Trace::dropMemo()
+{
+    LockGuard lock(memo_mutex_);
+    memo_.clear();
+    memoised_.store(false, std::memory_order_relaxed);
+}
+
+void
+Trace::takeMemo(Trace &other)
+{
+    MemoSlots slots;
+    {
+        LockGuard lock(other.memo_mutex_);
+        slots.swap(other.memo_);
+        other.memoised_.store(false, std::memory_order_relaxed);
+    }
+    LockGuard lock(memo_mutex_);
+    memo_ = std::move(slots);
+    memoised_.store(!memo_.empty(), std::memory_order_relaxed);
+}
+
+std::span<const std::uint8_t>
+Trace::memo(std::uint64_t key, const MemoBuilder &build, bool *built) const
+{
+    MemoSlot *slot = nullptr;
+    {
+        LockGuard lock(memo_mutex_);
+        for (const auto &s : memo_) {
+            if (s->key == key)
+                slot = s.get();
+        }
+        if (slot == nullptr) {
+            memo_.push_back(std::make_unique<MemoSlot>());
+            slot = memo_.back().get();
+            slot->key = key;
+            memoised_.store(true, std::memory_order_relaxed);
+        }
+    }
+    bool ran = false;
+    std::call_once(slot->once, [&] {
+        ran = true;
+        build(slot->bytes);
+    });
+    if (built != nullptr)
+        *built = ran;
+    return slot->bytes;
+}
+
 Trace
 Trace::slice(std::size_t first, std::size_t count) const
 {

@@ -10,26 +10,46 @@
 #ifndef GLIDER_TRACES_TRACE_HH
 #define GLIDER_TRACES_TRACE_HH
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <mutex> // std::once_flag / std::call_once
+#include <span>
 #include <string>
 #include <vector>
 
 #include "access.hh"
+#include "common/thread_annotations.hh"
 #include "sink.hh"
 
 namespace glider {
 namespace traces {
 
-/** A named, ordered sequence of memory accesses, held in RAM. */
+/**
+ * A named, ordered sequence of memory accesses, held in RAM.
+ *
+ * A trace also memoises bytes derived from its records (memo()), so
+ * work that depends only on the records is done once per trace, not
+ * once per reader. Every change to the records drops the memo. A copy
+ * starts with an empty memo; a move carries it along.
+ */
 class Trace : public TraceSink
 {
   public:
     Trace() = default;
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
+    Trace(const Trace &other);
+    Trace &operator=(const Trace &other);
+    Trace(Trace &&other) noexcept;
+    Trace &operator=(Trace &&other) noexcept;
+
     /** Append one access. */
     void push(const AccessRecord &rec) override
     {
+        if (memoised_.load(std::memory_order_relaxed)) [[unlikely]]
+            dropMemo();
         records_.push_back(rec);
     }
 
@@ -40,7 +60,7 @@ class Trace : public TraceSink
     push(std::uint64_t pc, std::uint64_t address, bool is_write = false,
          std::uint8_t core = 0)
     {
-        records_.push_back(AccessRecord{pc, address, core, is_write});
+        push(AccessRecord{pc, address, core, is_write});
     }
 
     const std::string &name() const { return name_; }
@@ -61,8 +81,10 @@ class Trace : public TraceSink
     void
     truncate(std::size_t n)
     {
-        if (n < records_.size())
+        if (n < records_.size()) {
+            dropMemo();
             records_.resize(n);
+        }
     }
 
     /** Sub-trace of records [first, first+count), clamped to size. */
@@ -83,9 +105,45 @@ class Trace : public TraceSink
      */
     static bool load(const std::string &path, Trace &out);
 
+    /** Fills the bytes of one memo() entry from the records. */
+    using MemoBuilder = std::function<void(std::vector<std::uint8_t> &)>;
+
+    /**
+     * The bytes memoised under @p key, built by @p build on the first
+     * request. Concurrent callers for one key block until the single
+     * build finishes; a build that throws leaves the key unbuilt.
+     * The span stays valid until the records change or the trace
+     * dies. @p key must name everything the bytes depend on besides
+     * the records.
+     * @param built Set to whether this call ran @p build (optional).
+     */
+    std::span<const std::uint8_t> memo(std::uint64_t key,
+                                       const MemoBuilder &build,
+                                       bool *built = nullptr) const;
+
   private:
+    /** One memo entry; once-initialised so builds never repeat. */
+    struct MemoSlot
+    {
+        std::uint64_t key = 0;
+        std::once_flag once;
+        std::vector<std::uint8_t> bytes;
+    };
+    using MemoSlots = std::vector<std::unique_ptr<MemoSlot>>;
+
+    /** Forget every memo entry (the records are about to change). */
+    void dropMemo();
+    /** Take @p other's memo entries, which it loses. */
+    void takeMemo(Trace &other);
+
     std::string name_;
     std::vector<AccessRecord> records_;
+    mutable Mutex memo_mutex_;
+    mutable MemoSlots memo_ GLIDER_GUARDED_BY(memo_mutex_);
+    // glider-mo: flag-relaxed — whether memo_ holds an entry: the one
+    // branch push() pays. Records change only under exclusive access,
+    // so no data is published under it.
+    mutable std::atomic<bool> memoised_{false};
 };
 
 } // namespace traces

@@ -149,6 +149,27 @@ TEST(AllocGuard, ReplayStageChunkLoopsAreAllocationFree)
     EXPECT_GT(llc.core().instructions(), 0u);
 }
 
+TEST(AllocGuard, WalkMemoReplayLoopIsAllocationFree)
+{
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "build with -DGLIDER_ALLOCGUARD=ON";
+    // A first pass builds the memo and warms the LLC; the second,
+    // with the warm-up reset inside it, must not allocate.
+    const auto &trace =
+        glider::workloads::cachedTrace("libquantum", 100'000);
+    glider::sim::HierarchyConfig cfg;
+    glider::sim::LlcStage llc(cfg, glider::sim::CoreParams(),
+                              glider::core::makePolicy("SRRIP"),
+                              trace.size() + trace.size() / 2);
+    llc.run(trace.records(), glider::sim::walkMemo(trace, cfg), nullptr);
+    auto depths = glider::sim::walkMemo(trace, cfg);
+    ScopedAllocCheck guard;
+    llc.run(trace.records(), depths, nullptr);
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "LlcStage::run over the walk memo allocated";
+    EXPECT_GT(llc.core().instructions(), 0u);
+}
+
 TEST(AllocGuard, CoreModelStepIsAllocationFree)
 {
     if (!allocGuardEnabled())

@@ -18,6 +18,8 @@
 #include "bench/bench_common.hh"
 #include "common/cpu_budget.hh"
 #include "common/thread_pool.hh"
+#include "opt/belady.hh"
+#include "opt/llc_stream.hh"
 #include "traces/trace_cache.hh"
 
 namespace glider {
@@ -296,6 +298,36 @@ TEST(SweepRunner, MatchesDirectSerialHarness)
     expectSameResult(
         rows[1],
         bench::runPolicy(workloads::cachedTrace("astar", n), "SHiP++"));
+}
+
+TEST(SweepRunner, SweepWalksEachTraceOnce)
+{
+    // Copies start with no walk memoised, whatever earlier tests did
+    // with the cached traces.
+    const std::uint64_t n = 20'000;
+    std::vector<traces::Trace> traces;
+    for (const char *name : {"astar", "sphinx3", "tonto"})
+        traces.push_back(workloads::cachedTrace(name, n));
+    const std::vector<std::string> policies = {"LRU", "Hawkeye", "MPPPB",
+                                               "SHiP++", "Glider"};
+    bench::SweepRunner sweep(4);
+    for (const auto &t : traces) {
+        for (const auto &policy : policies)
+            sweep.addCell([&t, policy] { return bench::runPolicy(t, policy); });
+        sweep.addCell([&t] {
+            sim::SimOptions opts;
+            auto stream = opt::extractLlcStream(t, opts.hierarchy);
+            return sim::runSingleCore(
+                t, std::make_unique<opt::BeladyPolicy>(stream), opts);
+        });
+    }
+    sweep.run();
+    obs::Registry reg;
+    sweep.exportMetrics(reg, "harness");
+    // Per trace: five policy replays, MIN's stream and MIN's replay
+    // read one walk.
+    EXPECT_EQ(reg.counter("harness.l1l2_walks").value(), 3u);
+    EXPECT_EQ(reg.counter("harness.l1l2_walk_reuses").value(), 3u * 6u);
 }
 
 TEST(SweepRunner, RethrowsCellExceptions)

@@ -6,15 +6,19 @@
  * for count, at chunk edges, under every policy, over streamed
  * sources, with stage A on the calling thread or on a helper; and a
  * failure or cancellation in either stage must stop both and surface
- * on the caller's thread.
+ * on the caller's thread. The WalkMemo tests hold the in-memory
+ * replay, which reads the trace's memoised walk, to the same
+ * standard, and check when the memo is built, reused and dropped.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +30,7 @@
 #include "cachesim/basic_lru.hh"
 #include "cachesim/replay_stages.hh"
 #include "cachesim/simulator.hh"
+#include "cachesim/walk_memo.hh"
 #include "common/cancellation.hh"
 #include "common/cpu_budget.hh"
 #include "common/rng.hh"
@@ -491,6 +496,225 @@ TEST(ReplayStages, FirstFailureInAccessOrderWins)
             stagedReplay(source, failingAt(1200), SimOptions(), where),
             std::runtime_error);
     }
+}
+
+// ----------------------------------------------------------- walk memo
+
+/** A fresh trace with @p t's name and records: its memo is empty. */
+traces::Trace
+freshCopy(const traces::Trace &t)
+{
+    traces::Trace out(t.name());
+    for (const auto &rec : t)
+        out.push(rec);
+    return out;
+}
+
+/** The pipeline's replay of @p t, stage A on the calling thread. */
+SingleCoreResult
+walkedReplay(const traces::Trace &t, const std::string &policy,
+             const SimOptions &opts)
+{
+    SlicedSource source(t, kChunk);
+    return stagedReplay(source, core::makePolicy(policy), opts,
+                        WalkThread::Caller);
+}
+
+/** Walks and reuses counted since construction. */
+struct TallyDelta
+{
+    WalkTally before = walkTally();
+
+    std::uint64_t walks() const { return walkTally().walks - before.walks; }
+    std::uint64_t
+    reuses() const
+    {
+        return walkTally().reuses - before.reuses;
+    }
+};
+
+TEST(WalkMemo, EveryPolicyMatchesStagedReplay)
+{
+    auto t = freshCopy(workloads::cachedTrace("sphinx3", 40'000));
+    SimOptions opts = pressuredOptions();
+    TallyDelta tally;
+    for (const auto &policy : core::policyNames()) {
+        auto got = runSingleCore(t, core::makePolicy(policy), opts);
+        for (WalkThread where : kPlacements) {
+            TraceSource source(t);
+            expectSameCounts(
+                got,
+                stagedReplay(source, core::makePolicy(policy), opts,
+                             where),
+                policy + ", " + placementName(where));
+        }
+    }
+    EXPECT_EQ(tally.walks(), 1u);
+    EXPECT_EQ(tally.reuses(), core::policyNames().size() - 1);
+}
+
+TEST(WalkMemo, MinStreamMatchesPerCoreWalk)
+{
+    auto reference = [](const traces::Trace &t,
+                        const HierarchyConfig &config) {
+        unsigned cores = 1;
+        for (const auto &rec : t)
+            cores = std::max(cores, rec.core + 1u);
+        PrivateWalk walk(config, cores);
+        std::vector<traces::AccessRecord> out;
+        for (const auto &rec : t) {
+            if (walk.access(rec.core, traces::blockAddr(rec.address))
+                == AccessDepth::Llc)
+                out.push_back(rec);
+        }
+        return out;
+    };
+    auto expectStream = [](const traces::Trace &got,
+                           const std::vector<traces::AccessRecord> &want) {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].pc, want[i].pc) << i;
+            EXPECT_EQ(got[i].address, want[i].address) << i;
+            EXPECT_EQ(got[i].core, want[i].core) << i;
+            EXPECT_EQ(got[i].is_write, want[i].is_write) << i;
+        }
+    };
+    SimOptions opts = pressuredOptions();
+    auto t = freshCopy(workloads::cachedTrace("mcf", 40'000));
+    {
+        // A replay walks; MIN's stream is cut from the same walk.
+        TallyDelta tally;
+        runSingleCore(t, core::makePolicy("LRU"), opts);
+        auto stream = opt::extractLlcStream(t, opts.hierarchy);
+        EXPECT_EQ(tally.walks(), 1u);
+        EXPECT_EQ(tally.reuses(), 1u);
+        expectStream(stream, reference(t, opts.hierarchy));
+    }
+    // Records spread over four cores walk four L1/L2 pairs, as in a
+    // multi-core Hierarchy, not the single-core memo.
+    traces::Trace mixed("mixed");
+    Rng rng(9);
+    for (std::size_t i = 0; i < 30'000; ++i)
+        mixed.push(0x400000 + rng.below(31) * 4, rng.below(6000) * 64,
+                   rng.chance(0.3), static_cast<std::uint8_t>(i % 4));
+    TallyDelta tally;
+    expectStream(opt::extractLlcStream(mixed, opts.hierarchy),
+                 reference(mixed, opts.hierarchy));
+    EXPECT_EQ(tally.walks(), 0u);
+    EXPECT_EQ(tally.reuses(), 0u);
+}
+
+TEST(WalkMemo, MutationDropsTheMemo)
+{
+    SimOptions opts = pressuredOptions();
+    auto t = randomTrace(20 * kChunk, 30000, 10);
+    auto extra = randomTrace(3 * kChunk + 5, 30000, 11);
+    runSingleCore(t, core::makePolicy("LRU"), opts);
+    for (const auto &rec : extra)
+        t.push(rec);
+    expectSameCounts(runSingleCore(t, core::makePolicy("SRRIP"), opts),
+                     walkedReplay(freshCopy(t), "SRRIP", opts), "push");
+
+    t.truncate(7 * kChunk + 3);
+    expectSameCounts(runSingleCore(t, core::makePolicy("SRRIP"), opts),
+                     walkedReplay(freshCopy(t), "SRRIP", opts),
+                     "truncate");
+
+    std::string path = "/tmp/glider_walk_memo."
+        + std::to_string(::getpid()) + ".trace";
+    ASSERT_TRUE(extra.save(path));
+    ASSERT_TRUE(traces::Trace::load(path, t));
+    std::remove(path.c_str());
+    expectSameCounts(runSingleCore(t, core::makePolicy("SRRIP"), opts),
+                     walkedReplay(extra, "SRRIP", opts), "load");
+}
+
+TEST(WalkMemo, MutatingACopyLeavesTheOriginal)
+{
+    SimOptions opts = pressuredOptions();
+    auto t = randomTrace(12 * kChunk, 30000, 12);
+    auto want = runSingleCore(t, core::makePolicy("Hawkeye"), opts);
+
+    traces::Trace copy = t;
+    copy.truncate(5 * kChunk);
+    copy.push(0x400100, 0x1234000);
+    expectSameCounts(runSingleCore(copy, core::makePolicy("Hawkeye"), opts),
+                     walkedReplay(copy, "Hawkeye", opts), "the copy");
+
+    TallyDelta tally;
+    expectSameCounts(runSingleCore(t, core::makePolicy("Hawkeye"), opts),
+                     want, "the original");
+    EXPECT_EQ(tally.walks(), 0u) << "the original lost its memo";
+    EXPECT_EQ(tally.reuses(), 1u);
+}
+
+TEST(WalkMemo, EachShapeWalkedOnceOnOneTrace)
+{
+    auto t = freshCopy(workloads::cachedTrace("omnetpp", 40'000));
+    // Table 1, then a smaller L1 alone, then a smaller L2 alone: each
+    // level's shape is part of the key.
+    SimOptions shapes[3];
+    shapes[1].hierarchy.l1.size_bytes = 16 * 1024;
+    shapes[2].hierarchy.l2.size_bytes = 64 * 1024;
+    TallyDelta tally;
+    for (int round = 0; round < 2; ++round) {
+        for (int k = 0; k < 3; ++k) {
+            expectSameCounts(
+                runSingleCore(t, core::makePolicy("SHiP++"), shapes[k]),
+                walkedReplay(t, "SHiP++", shapes[k]),
+                "round " + std::to_string(round) + ", shape "
+                    + std::to_string(k));
+        }
+    }
+    EXPECT_EQ(tally.walks(), 3u);
+    EXPECT_EQ(tally.reuses(), 3u);
+}
+
+TEST(WalkMemo, ConcurrentFirstUseWalksOnce)
+{
+    auto t = freshCopy(workloads::cachedTrace("mcf", 60'000));
+    constexpr int kThreads = 8;
+    std::vector<SingleCoreResult> got(kThreads);
+    TallyDelta tally;
+    {
+        std::latch start(kThreads);
+        std::vector<std::jthread> threads;
+        for (int k = 0; k < kThreads; ++k) {
+            threads.emplace_back([&, k] {
+                start.arrive_and_wait();
+                got[k] = runSingleCore(t, core::makePolicy("LRU"),
+                                       pressuredOptions());
+            });
+        }
+    }
+    EXPECT_EQ(tally.walks(), 1u);
+    EXPECT_EQ(tally.reuses(), kThreads - 1u);
+    auto want = walkedReplay(t, "LRU", pressuredOptions());
+    for (int k = 0; k < kThreads; ++k)
+        expectSameCounts(got[k], want, "thread " + std::to_string(k));
+}
+
+TEST(WalkMemo, CancellationThrowsPromptly)
+{
+    const auto &t = workloads::cachedTrace("mcf", 400'000);
+    CancelToken token;
+    std::uint64_t at_cancel = 0;
+    std::uint64_t last = 0; // the policy dies with the replay
+    auto policy = std::make_unique<HookedLru>([&](std::uint64_t n) {
+        last = n;
+        if (n == 5000) {
+            at_cancel = n;
+            token.cancel();
+        }
+    });
+    SimOptions opts;
+    opts.cancel = &token;
+    EXPECT_THROW(runSingleCore(t, std::move(policy), opts),
+                 CancelledError);
+    ASSERT_EQ(at_cancel, 5000u);
+    // Polled once per WalkChunk::kCapacity accesses: at most that
+    // many more LLC accesses ran after the cancel.
+    EXPECT_LE(last - at_cancel, kChunk);
 }
 
 TEST(ReplayStages, HelperOnlyWithASpareCpu)
